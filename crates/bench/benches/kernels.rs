@@ -34,8 +34,8 @@ fn bench_sta_incremental(c: &mut Criterion) {
     for (name, cfg) in [("cell_shift", &shift), ("rule_change", &widened)] {
         let snap = FlowRun::new(&base, &tech, cfg)
             .seed(7)
-            .unchecked()
-            .snapshot();
+            .snapshot()
+            .expect("oracle flow is infallible");
         group.bench_function(name, |b| {
             b.iter(|| {
                 std::hint::black_box(sta::analyze_incremental(

@@ -21,8 +21,8 @@ fn bench_pipeline(c: &mut Criterion) {
             b.iter(|| {
                 std::hint::black_box(
                     FlowRun::new(&base, &tech, &FlowConfig::cell_shift_default())
-                        .unchecked()
-                        .metrics(),
+                        .metrics()
+                        .expect("oracle flow is infallible"),
                 )
             })
         });
@@ -57,8 +57,8 @@ fn bench_incremental(c: &mut Criterion) {
                 std::hint::black_box(
                     FlowRun::new(&base, &tech, cfg)
                         .seed(7)
-                        .unchecked()
-                        .metrics(),
+                        .metrics()
+                        .expect("oracle flow is infallible"),
                 );
             }
         })
@@ -69,8 +69,8 @@ fn bench_incremental(c: &mut Criterion) {
             FlowRun::new(engine.base(), &tech, cfg)
                 .engine(&engine)
                 .seed(7)
-                .unchecked()
-                .metrics(),
+                .metrics()
+                .expect("operator-edit cache poisoned"),
         );
     }
     group.bench_function("population_incremental", |b| {
@@ -80,8 +80,8 @@ fn bench_incremental(c: &mut Criterion) {
                     FlowRun::new(engine.base(), &tech, cfg)
                         .engine(&engine)
                         .seed(7)
-                        .unchecked()
-                        .metrics(),
+                        .metrics()
+                        .expect("operator-edit cache poisoned"),
                 );
             }
         })

@@ -5,8 +5,8 @@
 //! counters), then replays the exact evaluation schedule it produced —
 //! generation by generation, with the same work-stealing thread pool —
 //! through both evaluation paths with telemetry *disabled*: the
-//! from-scratch oracle (`run_flow`) and the incremental engine
-//! (`run_flow_with`, fresh engine, cold caches). The two replay walls are
+//! from-scratch oracle (`FlowRun::new`) and the incremental engine
+//! (`FlowRun::engine`, fresh engine, cold caches). The two replay walls are
 //! the honest apples-to-apples comparison the incremental engine is
 //! judged on; results, including the telemetry section, land in
 //! `BENCH_explore.json` at the workspace root so future changes can track
@@ -554,8 +554,8 @@ fn main() {
                 FlowRun::new(engine.base(), &tech, &p.config)
                     .engine(&engine)
                     .seed(p.genome.flow_seed())
-                    .unchecked()
                     .metrics()
+                    .expect("operator-edit cache poisoned")
             };
             best = best.min(replay(&points, threads, eval));
         }
@@ -566,8 +566,8 @@ fn main() {
     let full_replay_wall_secs = measure(&|p: &EvalPoint| {
         FlowRun::new(&base, &tech, &p.config)
             .seed(p.genome.flow_seed())
-            .unchecked()
             .metrics()
+            .expect("oracle flow is infallible")
     });
     route::set_parallelism(0);
 
@@ -579,8 +579,8 @@ fn main() {
             FlowRun::new(engine.base(), &tech, &p.config)
                 .engine(&engine)
                 .seed(p.genome.flow_seed())
-                .unchecked()
                 .metrics()
+                .expect("operator-edit cache poisoned")
         })
         .collect();
     for (p, m) in points.iter().zip(&check) {

@@ -172,14 +172,14 @@ fn run_design(spec: &DesignSpec, tech: &Technology, params: &Nsga2Params) -> Sui
         FlowRun::new(engine.base(), tech, &p.config)
             .engine(&engine)
             .seed(p.genome.flow_seed())
-            .unchecked()
             .metrics()
+            .expect("operator-edit cache poisoned")
     });
     let replay_full_wall_secs = replay_wall(&points, |p| {
         FlowRun::new(&base, tech, &p.config)
             .seed(p.genome.flow_seed())
-            .unchecked()
             .metrics()
+            .expect("oracle flow is infallible")
     });
 
     // Front quality: hypervolume against the run's own nadir reference,

@@ -11,16 +11,15 @@
 //!
 //! Designs are the twelve benchmark specs of `netlist::bench` (AES_1 …
 //! TDEA) plus the miniature `TINY` smoke design. All runs are
-//! deterministic: `ggd explore` is a thin submit-and-watch over an
-//! in-process job server and prints bit-identical output to the historic
-//! one-shot path. `--verbose` turns the telemetry subsystem on and
+//! deterministic. The one-shot commands call the library directly:
+//! `ggd explore` runs [`explore_with`] in-process, and only
+//! `ggd explore --socket` (or `$GGD_SOCKET`) goes through a daemon, with
+//! the same stdout. `--verbose` turns the telemetry subsystem on and
 //! prints the span/metric tree to stderr when the command finishes —
 //! including on error paths, now that `main` returns `Result`.
 //!
-//! The historical positional forms (`ggd harden TINY lda out.gds`,
-//! `ggd explore TINY 8 4`) are kept as deprecated aliases of the flags:
-//! `harden <design> [cs|lda] [out.gds]` maps to `--design/--op/--out`,
-//! and `explore <design> [pop] [gens]` maps to `--design/--pop/--gens`.
+//! Designs are named with `--design`; a stray positional argument on a
+//! command that takes none is an error naming the flag.
 //!
 //! `ggd serve` is **crash-safe** by default: job-lifecycle transitions
 //! are journaled under `--journal-dir` (default `$GG_JOURNAL_DIR`, else
@@ -35,8 +34,9 @@ use std::time::Duration;
 
 use gdsii_guard::obs::diagln;
 use gdsii_guard::prelude::*;
+use gdsii_guard::sandbox::SandboxPolicy;
 use gdsii_guard::serve::{
-    BaselineSummary, Client, JobEvent, JobSpec, JobState, Server, ServerConfig,
+    BaselineSummary, Client, JobEvent, JobKind, JobSpec, JobState, Server, ServerConfig,
 };
 use gdsii_guard::Error;
 use ggjson::{FromJson, Json, ToJson};
@@ -69,12 +69,7 @@ const USAGE: &str = "usage: ggd [--verbose] <command> [flags]\n\
    \x20 result  <job>                            final result payload (JSON)\n\
    \x20 jobs                                     all jobs\n\
    \x20 stats                                    scheduler + baseline-cache counters\n\
-   \x20 shutdown                                 stop the daemon\n\
-   \n\
-   deprecated positional aliases (still accepted):\n\
-   \x20 analyze <design>                ≡ --design\n\
-   \x20 harden  <design> [cs|lda] [out.gds]      ≡ --design/--op/--out\n\
-   \x20 explore <design> [pop] [gens]   ≡ --design/--pop/--gens";
+   \x20 shutdown                                 stop the daemon";
 
 /// Everything the flag parser can collect; each command reads the
 /// subset it understands.
@@ -148,17 +143,11 @@ fn parse_opts(args: &[String]) -> Result<Opts, Error> {
 }
 
 impl Opts {
-    /// The design name, from `--design` or the deprecated positional.
-    fn design(&self, positional_idx: usize) -> Result<String, Error> {
+    /// The design name from `--design`.
+    fn design(&self) -> Result<String, Error> {
         self.design
             .clone()
-            .or_else(|| self.positionals.get(positional_idx).cloned())
             .ok_or_else(|| Error::InvalidArgs("no design named; use --design <name>".into()))
-    }
-
-    /// A numeric positional (deprecated alias for a flag).
-    fn positional_num<T: std::str::FromStr>(&self, idx: usize) -> Option<T> {
-        self.positionals.get(idx).and_then(|s| s.parse().ok())
     }
 
     /// The job id every client command takes as its positional.
@@ -190,6 +179,39 @@ fn validate_design(name: &str) -> Result<(), Error> {
         )));
     }
     Ok(())
+}
+
+/// Translates the job flags into a [`JobSpec`] of `kind`: the one
+/// flags-to-job mapping behind `harden`, one-shot and remote `explore`,
+/// and `submit`, so every default lives in `JobSpec`.
+fn job_spec(o: &Opts, kind: JobKind) -> Result<JobSpec, Error> {
+    let design = o.design()?;
+    validate_design(&design)?;
+    let mut spec = match kind {
+        JobKind::Explore => JobSpec::explore(&design),
+        JobKind::Analyze => JobSpec::analyze(&design),
+        JobKind::Harden => JobSpec::harden(&design, o.op.as_deref().unwrap_or("cs")),
+    };
+    if let Some(pop) = o.pop {
+        spec.population = pop;
+    }
+    if let Some(gens) = o.gens {
+        spec.generations = gens;
+    }
+    if let Some(seed) = o.seed {
+        spec.seed = seed;
+    }
+    if let Some(threads) = o.threads {
+        spec.threads = threads;
+    }
+    if let Some(priority) = o.priority {
+        spec.priority = priority;
+    }
+    spec.out = o.out.clone();
+    spec.checkpoint = o.checkpoint.clone();
+    spec.resume = o.resume;
+    spec.validate().map_err(Error::InvalidArgs)?;
+    Ok(spec)
 }
 
 fn baseline(name: &str, tech: &Technology) -> Result<Snapshot, Error> {
@@ -224,7 +246,7 @@ fn cmd_list() {
 }
 
 fn cmd_analyze(o: &Opts) -> Result<(), Error> {
-    let name = o.design(0)?;
+    let name = o.design()?;
     let tech = Technology::nangate45_like();
     let base = baseline(&name, &tech)?;
     print_snapshot("baseline", &base);
@@ -234,25 +256,11 @@ fn cmd_analyze(o: &Opts) -> Result<(), Error> {
 }
 
 fn cmd_harden(o: &Opts) -> Result<(), Error> {
-    let name = o.design(0)?;
-    let op =
-        o.op.clone()
-            .or_else(|| o.positionals.get(1).cloned())
-            .unwrap_or_else(|| "cs".to_owned());
-    let out = o.out.clone().or_else(|| o.positionals.get(2).cloned());
+    let spec = job_spec(o, JobKind::Harden)?;
     let tech = Technology::nangate45_like();
-    let base = baseline(&name, &tech)?;
+    let base = baseline(&spec.design, &tech)?;
     print_snapshot("baseline", &base);
-    let cfg = match op.as_str() {
-        "cs" => FlowConfig::cell_shift_default(),
-        "lda" => FlowConfig::lda_default(),
-        other => {
-            return Err(Error::InvalidArgs(format!(
-                "unknown operator '{other}' (expected cs or lda)"
-            )))
-        }
-    };
-    let mut hardened = FlowRun::new(&base, &tech, &cfg).snapshot()?;
+    let hardened = harden(&base, &tech, &spec.op, spec.out.as_deref())?;
     print_snapshot("hardened", &hardened);
     let m = FlowMetrics::from_snapshot(&hardened, &base);
     println!(
@@ -261,13 +269,7 @@ fn cmd_harden(o: &Opts) -> Result<(), Error> {
         (1.0 - m.security) * 100.0,
         secmetrics::attack::battery_success_rate(&hardened.security, &tech) * 100.0
     );
-    if let Some(path) = out {
-        // The snapshot's layout is Arc-shared; un-share before mutating.
-        let hl = std::sync::Arc::make_mut(&mut hardened.layout);
-        layout::insert_fillers(hl.occupancy_mut(), &tech);
-        let lib = gdsii::layout_to_gds(&hardened.layout, &tech, Some(&hardened.routing));
-        std::fs::write(&path, lib.to_bytes())
-            .map_err(|e| Error::Io(format!("cannot write {path}: {e}")))?;
+    if let Some(path) = &spec.out {
         println!("  wrote {path}");
     }
     Ok(())
@@ -340,87 +342,31 @@ fn print_explore_payload(payload: &Json) -> Result<(), Error> {
     Ok(())
 }
 
-/// `ggd explore` without `--socket`: submit-and-watch over an in-process
-/// server, output pinned bit-identical to the historic one-shot path.
-fn cmd_explore_local(o: &Opts) -> Result<(), Error> {
-    let name = o.design(0)?;
-    let mut spec = JobSpec::explore(&name);
-    spec.population = o.pop.or_else(|| o.positional_num(1)).unwrap_or(10);
-    spec.generations = o.gens.or_else(|| o.positional_num(2)).unwrap_or(3);
-    if let Some(seed) = o.seed {
-        spec.seed = seed;
-    }
-    if let Some(threads) = o.threads {
-        spec.threads = threads;
-    }
-    spec.out = o.out.clone();
-    spec.checkpoint = o.checkpoint.clone();
-    spec.resume = o.resume;
-
-    let data_dir = std::env::temp_dir().join(format!("ggd-oneshot-{}", std::process::id()));
-    let server = Server::start(ServerConfig {
-        socket: None,
-        data_dir: Some(data_dir.clone()),
-        runners: 1,
-        ..ServerConfig::default()
-    })?;
-    let id = server.submit(spec)?;
-    let mut cursor = 0u64;
-    let status = loop {
-        let (events, terminal) = server.events_since(id, cursor, true)?;
-        cursor += events.len() as u64;
-        for e in &events {
-            match e.kind.as_str() {
-                "baseline" => {
-                    if let Some(sum) = BaselineSummary::from_json(&e.data) {
-                        println!("{}", sum.render("baseline"));
-                    }
-                }
-                "generation" => diagln!("{}", describe_event(e)),
-                _ => {}
-            }
-        }
-        if terminal {
-            break server.status(id)?;
-        }
+/// `ggd explore` without `--socket`: the exploration runs in-process
+/// through [`explore_with`], checkpointing only to `--checkpoint`.
+fn cmd_explore_local(spec: &JobSpec) -> Result<(), Error> {
+    let tech = Technology::nangate45_like();
+    let base = baseline(&spec.design, &tech)?;
+    print_snapshot("baseline", &base);
+    let opts = ExploreOptions {
+        checkpoint: spec.checkpoint.as_ref().map(PathBuf::from),
+        resume: spec.resume,
+        halt_after: None,
+        deadline: SandboxPolicy::from_env().deadline,
     };
-    let outcome = match status.state {
-        JobState::Done => {
-            let payload = server.result(id)?;
-            print_explore_payload(&payload)
-        }
-        other => Err(Error::Serve(format!(
-            "explore job ended {}: {}",
-            other.as_str(),
-            status.error.unwrap_or_else(|| "no diagnostic".into())
-        ))),
-    };
-    server.stop();
-    let _ = std::fs::remove_dir_all(&data_dir);
-    outcome
+    let result = explore_with(&base, &tech, &spec.nsga2_params(), &opts)?;
+    if let Some(path) = &spec.out {
+        std::fs::write(path, ggjson::to_vec_pretty(&result))
+            .map_err(|e| Error::Io(format!("cannot write {path}: {e}")))?;
+    }
+    print_front(&result);
+    Ok(())
 }
 
-/// `ggd explore --socket <path>`: the same submit-and-watch against a
-/// remote daemon.
-fn cmd_explore_remote(o: &Opts) -> Result<(), Error> {
-    let name = o.design(0)?;
-    let mut spec = JobSpec::explore(&name);
-    spec.population = o.pop.or_else(|| o.positional_num(1)).unwrap_or(10);
-    spec.generations = o.gens.or_else(|| o.positional_num(2)).unwrap_or(3);
-    if let Some(seed) = o.seed {
-        spec.seed = seed;
-    }
-    if let Some(threads) = o.threads {
-        spec.threads = threads;
-    }
-    if let Some(priority) = o.priority {
-        spec.priority = priority;
-    }
-    spec.out = o.out.clone();
-    spec.checkpoint = o.checkpoint.clone();
-    spec.resume = o.resume;
+/// `ggd explore --socket <path>`: submit-and-watch against a daemon.
+fn cmd_explore_remote(o: &Opts, spec: &JobSpec) -> Result<(), Error> {
     let mut client = Client::connect(&o.socket())?;
-    let id = client.submit(&spec)?;
+    let id = client.submit(spec)?;
     let status = client.watch(id, 0, |e| match e.kind.as_str() {
         "baseline" => {
             if let Some(sum) = BaselineSummary::from_json(&e.data) {
@@ -494,39 +440,15 @@ fn cmd_serve(o: &Opts) -> Result<(), Error> {
 }
 
 fn cmd_submit(o: &Opts) -> Result<(), Error> {
-    let kind = o.positionals.first().map(String::as_str).ok_or_else(|| {
+    let name = o.positionals.first().map(String::as_str).ok_or_else(|| {
         Error::InvalidArgs("submit needs a job kind (explore|harden|analyze)".into())
     })?;
-    let design = o.design(1)?;
-    validate_design(&design)?;
-    let mut spec = match kind {
-        "explore" => JobSpec::explore(&design),
-        "analyze" => JobSpec::analyze(&design),
-        "harden" => JobSpec::harden(&design, o.op.as_deref().unwrap_or("cs")),
-        other => {
-            return Err(Error::InvalidArgs(format!(
-                "unknown job kind '{other}' (expected explore, harden, or analyze)"
-            )))
-        }
-    };
-    if let Some(pop) = o.pop {
-        spec.population = pop;
-    }
-    if let Some(gens) = o.gens {
-        spec.generations = gens;
-    }
-    if let Some(seed) = o.seed {
-        spec.seed = seed;
-    }
-    if let Some(threads) = o.threads {
-        spec.threads = threads;
-    }
-    if let Some(priority) = o.priority {
-        spec.priority = priority;
-    }
-    spec.out = o.out.clone();
-    spec.checkpoint = o.checkpoint.clone();
-    spec.resume = o.resume;
+    let kind = JobKind::from_name(name).ok_or_else(|| {
+        Error::InvalidArgs(format!(
+            "unknown job kind '{name}' (expected explore, harden, or analyze)"
+        ))
+    })?;
+    let spec = job_spec(o, kind)?;
     let mut client = Client::connect(&o.socket())?;
     let id = client.submit(&spec)?;
     println!("job {id}");
@@ -580,6 +502,27 @@ fn main() -> Result<(), Error> {
     outcome
 }
 
+/// Rejects positional arguments beyond what `command` takes: the job
+/// kind for `submit`, the job id for the per-job client commands, none
+/// elsewhere. Unknown commands fall through to their own error.
+fn check_positionals(command: &str, o: &Opts) -> Result<(), Error> {
+    let allowed = match command {
+        "submit" | "status" | "watch" | "pause" | "resume" | "cancel" | "result" => 1,
+        "list" | "analyze" | "harden" | "explore" | "serve" | "jobs" | "stats" | "shutdown" => 0,
+        _ => return Ok(()),
+    };
+    let Some(extra) = o.positionals.get(allowed) else {
+        return Ok(());
+    };
+    let hint = match command {
+        "analyze" | "harden" | "explore" | "submit" => "; name the design with --design <name>",
+        _ => "",
+    };
+    Err(Error::InvalidArgs(format!(
+        "unexpected argument '{extra}' for {command}{hint}"
+    )))
+}
+
 fn dispatch(args: &[String]) -> Result<(), Error> {
     let Some(command) = args.first().map(String::as_str) else {
         diagln!("{USAGE}");
@@ -594,6 +537,7 @@ fn dispatch(args: &[String]) -> Result<(), Error> {
         diagln!("{USAGE}");
         return Ok(());
     }
+    check_positionals(command, &o)?;
     match command {
         "list" => {
             cmd_list();
@@ -602,10 +546,11 @@ fn dispatch(args: &[String]) -> Result<(), Error> {
         "analyze" => cmd_analyze(&o),
         "harden" => cmd_harden(&o),
         "explore" => {
+            let spec = job_spec(&o, JobKind::Explore)?;
             if o.socket.is_some() || std::env::var_os("GGD_SOCKET").is_some() {
-                cmd_explore_remote(&o)
+                cmd_explore_remote(&o, &spec)
             } else {
-                cmd_explore_local(&o)
+                cmd_explore_local(&spec)
             }
         }
         "serve" => cmd_serve(&o),

@@ -77,6 +77,16 @@ impl FlowConfig {
             scales: [1.0; NUM_METAL_LAYERS],
         }
     }
+
+    /// The default configuration of a named operator: `cs` (Cell Shift)
+    /// or `lda`; `None` for any other name.
+    pub fn for_operator(name: &str) -> Option<Self> {
+        match name {
+            "cs" => Some(Self::cell_shift_default()),
+            "lda" => Some(Self::lda_default()),
+            _ => None,
+        }
+    }
 }
 
 ggjson::json_struct!(FlowConfig { op, scales });
@@ -179,8 +189,7 @@ fn operator_seed(op: OpSelect, seed: u64) -> u64 {
 }
 
 /// Applies the ECO operators of `cfg` to the baseline layout without
-/// evaluating: the shared edit step of [`apply_flow`] and
-/// [`apply_flow_with`].
+/// evaluating: the edit step of the oracle path.
 fn edit_layout(base: &Snapshot, tech: &Technology, cfg: &FlowConfig, seed: u64) -> layout::Layout {
     let mut layout = apply_operator(base, tech, cfg.op, seed);
     rws::apply_width_scaling(&mut layout, cfg.scales);
@@ -254,17 +263,12 @@ fn engine_metrics(
 
 /// One configured execution of the composed security flow `f(L_base; x)`.
 ///
-/// `FlowRun` is the single entry point that replaced the old six-function
-/// family (`apply_flow`, `run_flow`, `apply_flow_with`,
-/// `apply_flow_with_unchecked`, `run_flow_with`,
-/// `run_flow_with_unchecked`): pick the *source* (the from-scratch oracle
-/// via [`FlowRun::new`], or the incremental path via [`FlowRun::engine`]),
-/// tune the run with [`seed`](FlowRun::seed), and finish with a terminal
-/// — [`snapshot`](FlowRun::snapshot) for the full evaluated layout or
-/// [`metrics`](FlowRun::metrics) for the fitness vector. Callers that
-/// treat a poisoned operator-edit cache as a bug rather than a
-/// recoverable condition opt into the panicking contract with
-/// [`unchecked`](FlowRun::unchecked).
+/// `FlowRun` is the single entry point of the flow: pick the *source*
+/// (the from-scratch oracle via [`FlowRun::new`], or the incremental path
+/// via [`FlowRun::engine`]), tune the run with [`seed`](FlowRun::seed),
+/// and finish with a terminal — [`snapshot`](FlowRun::snapshot) for the
+/// full evaluated layout or [`metrics`](FlowRun::metrics) for the fitness
+/// vector.
 ///
 /// ```no_run
 /// use gdsii_guard::prelude::*;
@@ -329,13 +333,6 @@ impl<'a> FlowRun<'a> {
         self
     }
 
-    /// Switches the terminals to the panicking contract of the old
-    /// `*_unchecked` family: a poisoned operator-edit cache panics
-    /// instead of surfacing [`Error::EditCachePoisoned`].
-    pub fn unchecked(self) -> FlowRunUnchecked<'a> {
-        FlowRunUnchecked(self)
-    }
-
     /// Runs the flow and returns the fully evaluated [`Snapshot`].
     ///
     /// # Errors
@@ -367,132 +364,33 @@ impl<'a> FlowRun<'a> {
     }
 }
 
-/// A [`FlowRun`] with the panicking terminals of the old `*_unchecked`
-/// family (see [`FlowRun::unchecked`]).
-#[must_use = "a FlowRun does nothing until `.snapshot()` or `.metrics()` runs it"]
-pub struct FlowRunUnchecked<'a>(FlowRun<'a>);
-
-impl FlowRunUnchecked<'_> {
-    /// Runs the flow and returns the fully evaluated [`Snapshot`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if a worker poisoned the engine's operator-edit cache.
-    pub fn snapshot(self) -> Snapshot {
-        self.0.snapshot().expect("operator-edit cache poisoned")
-    }
-
-    /// Runs the flow and returns its [`FlowMetrics`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if a worker poisoned the engine's operator-edit cache.
-    pub fn metrics(self) -> FlowMetrics {
-        self.0.metrics().expect("operator-edit cache poisoned")
-    }
-}
-
-/// Applies the full GDSII-Guard flow to the baseline and returns the
-/// evaluated snapshot.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `FlowRun::new(base, tech, cfg).seed(seed).unchecked().snapshot()`"
-)]
-pub fn apply_flow(base: &Snapshot, tech: &Technology, cfg: &FlowConfig, seed: u64) -> Snapshot {
-    FlowRun::new(base, tech, cfg)
-        .seed(seed)
-        .unchecked()
-        .snapshot()
-}
-
-/// Applies the flow and returns its metrics in one call.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `FlowRun::new(base, tech, cfg).seed(seed).unchecked().metrics()`"
-)]
-pub fn run_flow(base: &Snapshot, tech: &Technology, cfg: &FlowConfig, seed: u64) -> FlowMetrics {
-    FlowRun::new(base, tech, cfg)
-        .seed(seed)
-        .unchecked()
-        .metrics()
-}
-
-/// The old incremental snapshot path through a prebuilt [`EvalEngine`].
-#[deprecated(
-    since = "0.1.0",
-    note = "use `FlowRun::new(engine.base(), tech, cfg).engine(engine).seed(seed).snapshot()`"
-)]
-pub fn apply_flow_with(
-    engine: &EvalEngine,
+/// Hardens `base` with the default configuration of operator `op` (`cs`
+/// or `lda`) on the oracle path at seed 1 and, when `out` is given,
+/// writes the filler-completed hardened layout there as GDSII. The
+/// returned snapshot is the hardened layout without fillers.
+///
+/// # Errors
+///
+/// [`Error::InvalidArgs`] for an unknown operator, [`Error::Io`] when the
+/// GDSII file cannot be written.
+pub fn harden(
+    base: &Snapshot,
     tech: &Technology,
-    cfg: &FlowConfig,
-    seed: u64,
+    op: &str,
+    out: Option<&str>,
 ) -> Result<Snapshot, Error> {
-    FlowRun::new(engine.base(), tech, cfg)
-        .engine(engine)
-        .seed(seed)
-        .snapshot()
-}
-
-/// The old panicking incremental snapshot path.
-///
-/// # Panics
-///
-/// Panics if a worker poisoned the engine's operator-edit cache.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `FlowRun::new(engine.base(), tech, cfg).engine(engine).seed(seed).unchecked().snapshot()`"
-)]
-pub fn apply_flow_with_unchecked(
-    engine: &EvalEngine,
-    tech: &Technology,
-    cfg: &FlowConfig,
-    seed: u64,
-) -> Snapshot {
-    FlowRun::new(engine.base(), tech, cfg)
-        .engine(engine)
-        .seed(seed)
-        .unchecked()
-        .snapshot()
-}
-
-/// The old incremental metrics path through a prebuilt [`EvalEngine`].
-#[deprecated(
-    since = "0.1.0",
-    note = "use `FlowRun::new(engine.base(), tech, cfg).engine(engine).seed(seed).metrics()`"
-)]
-pub fn run_flow_with(
-    engine: &EvalEngine,
-    tech: &Technology,
-    cfg: &FlowConfig,
-    seed: u64,
-) -> Result<FlowMetrics, Error> {
-    FlowRun::new(engine.base(), tech, cfg)
-        .engine(engine)
-        .seed(seed)
-        .metrics()
-}
-
-/// The old panicking incremental metrics path.
-///
-/// # Panics
-///
-/// Panics if a worker poisoned the engine's operator-edit cache.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `FlowRun::new(engine.base(), tech, cfg).engine(engine).seed(seed).unchecked().metrics()`"
-)]
-pub fn run_flow_with_unchecked(
-    engine: &EvalEngine,
-    tech: &Technology,
-    cfg: &FlowConfig,
-    seed: u64,
-) -> FlowMetrics {
-    FlowRun::new(engine.base(), tech, cfg)
-        .engine(engine)
-        .seed(seed)
-        .unchecked()
-        .metrics()
+    let cfg = FlowConfig::for_operator(op).ok_or_else(|| {
+        Error::InvalidArgs(format!("unknown operator '{op}' (expected cs or lda)"))
+    })?;
+    let hardened = FlowRun::new(base, tech, &cfg).snapshot()?;
+    if let Some(path) = out {
+        let mut filled = layout::Layout::clone(&hardened.layout);
+        layout::insert_fillers(filled.occupancy_mut(), tech);
+        let lib = gdsii::layout_to_gds(&filled, tech, Some(&hardened.routing));
+        std::fs::write(path, lib.to_bytes())
+            .map_err(|e| Error::Io(format!("cannot write {path}: {e}")))?;
+    }
+    Ok(hardened)
 }
 
 #[cfg(test)]
@@ -511,8 +409,8 @@ mod tests {
     fn cell_shift_flow_improves_security() {
         let (tech, base) = base();
         let m = FlowRun::new(&base, &tech, &FlowConfig::cell_shift_default())
-            .unchecked()
-            .metrics();
+            .metrics()
+            .unwrap();
         assert!(
             m.security < 0.5,
             "cell shift should cut exploitable space sharply, got {}",
@@ -541,8 +439,8 @@ mod tests {
         )
         .unwrap();
         let m = FlowRun::new(&base, &tech, &FlowConfig::lda_default())
-            .unchecked()
-            .metrics();
+            .metrics()
+            .unwrap();
         assert!(
             m.security < 1.0,
             "LDA should reduce exploitable space, got {}",
@@ -554,9 +452,9 @@ mod tests {
     fn width_scaling_cuts_tracks_beyond_sites() {
         let (tech, base) = base();
         let mut cfg = FlowConfig::cell_shift_default();
-        let plain = FlowRun::new(&base, &tech, &cfg).unchecked().metrics();
+        let plain = FlowRun::new(&base, &tech, &cfg).metrics().unwrap();
         cfg.scales = [1.0, 1.5, 1.5, 1.5, 1.5, 1.5, 1.5, 1.5, 1.5, 1.5];
-        let scaled = FlowRun::new(&base, &tech, &cfg).unchecked().metrics();
+        let scaled = FlowRun::new(&base, &tech, &cfg).metrics().unwrap();
         // Same placement operator; the track metric must drop further
         // relative to sites when wires widen (or both are already zero).
         let plain_ratio = if plain.er_sites > 0 {
@@ -607,10 +505,7 @@ mod tests {
             FlowConfig::lda_default(),
             scaled,
         ] {
-            let full = FlowRun::new(&base, &tech, &cfg)
-                .seed(7)
-                .unchecked()
-                .metrics();
+            let full = FlowRun::new(&base, &tech, &cfg).seed(7).metrics().unwrap();
             let inc = FlowRun::new(&base, &tech, &cfg)
                 .seed(7)
                 .engine(&engine)
@@ -621,12 +516,36 @@ mod tests {
     }
 
     #[test]
+    fn harden_writes_filled_gdsii_and_returns_the_unfilled_snapshot() {
+        let (tech, base) = base();
+        assert!(matches!(
+            harden(&base, &tech, "nope", None),
+            Err(Error::InvalidArgs(_))
+        ));
+        let path = std::env::temp_dir().join(format!("gg-harden-{}.gds", std::process::id()));
+        let path = path.to_str().unwrap();
+        let hardened = harden(&base, &tech, "cs", Some(path)).unwrap();
+        let oracle = FlowRun::new(&base, &tech, &FlowConfig::cell_shift_default())
+            .snapshot()
+            .unwrap();
+        assert_eq!(hardened.layout.utilization(), oracle.layout.utilization());
+        let gds = gdsii::GdsLibrary::from_bytes(&std::fs::read(path).unwrap()).unwrap();
+        let mut filled = layout::Layout::clone(&oracle.layout);
+        layout::insert_fillers(filled.occupancy_mut(), &tech);
+        assert_eq!(
+            gds,
+            gdsii::layout_to_gds(&filled, &tech, Some(&oracle.routing))
+        );
+        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
     fn flow_leaves_baseline_untouched() {
         let (tech, base) = base();
         let before = base.security.er_sites;
         let _ = FlowRun::new(&base, &tech, &FlowConfig::cell_shift_default())
-            .unchecked()
-            .metrics();
+            .metrics()
+            .unwrap();
         assert_eq!(base.security.er_sites, before);
         base.layout.check_consistency(&tech).unwrap();
     }

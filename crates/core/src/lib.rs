@@ -69,7 +69,7 @@ pub mod serve;
 
 pub use checkpoint::Checkpoint;
 pub use error::Error;
-pub use flow::{FlowConfig, FlowMetrics, FlowRun, FlowRunUnchecked, OpSelect};
+pub use flow::{harden, FlowConfig, FlowMetrics, FlowRun, OpSelect};
 pub use nsga2::{
     explore, explore_with, explore_with_engine, EvalPoint, ExploreOptions, ExploreResult, Genome,
     Nsga2Params, Nsga2ParamsBuilder, QuarantineEntry,
@@ -88,15 +88,9 @@ pub use obs;
 /// use gdsii_guard::prelude::*;
 /// ```
 pub mod prelude {
-    #[allow(deprecated)]
-    pub use crate::flow::{
-        apply_flow, apply_flow_with, apply_flow_with_unchecked, run_flow, run_flow_with,
-        run_flow_with_unchecked,
-    };
-
     pub use crate::checkpoint::Checkpoint;
     pub use crate::error::Error;
-    pub use crate::flow::{FlowConfig, FlowMetrics, FlowRun, FlowRunUnchecked, OpSelect};
+    pub use crate::flow::{harden, FlowConfig, FlowMetrics, FlowRun, OpSelect};
     pub use crate::nsga2::{
         explore, explore_with, explore_with_engine, EvalPoint, ExploreOptions, ExploreResult,
         Genome, Nsga2Params, Nsga2ParamsBuilder, QuarantineEntry,

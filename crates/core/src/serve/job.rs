@@ -3,6 +3,8 @@
 
 use ggjson::{FromJson, Json, ToJson};
 
+use crate::flow::FlowConfig;
+use crate::nsga2::Nsga2Params;
 use crate::pipeline::Snapshot;
 
 /// Job-spec format version, accepted by [`crate::serve::Server`] submits.
@@ -130,7 +132,7 @@ impl JobSpec {
             priority: 0,
             population: 10,
             generations: 3,
-            seed: crate::nsga2::Nsga2Params::builder().build().seed,
+            seed: Nsga2Params::builder().build().seed,
             threads: 0,
             op: String::new(),
             out: None,
@@ -158,6 +160,17 @@ impl JobSpec {
         Self::base(JobKind::Analyze, design)
     }
 
+    /// The NSGA-II parameters of an explore job: population, generations,
+    /// seed and threads from the spec, builder defaults for the rest.
+    pub fn nsga2_params(&self) -> Nsga2Params {
+        Nsga2Params::builder()
+            .population(self.population)
+            .generations(self.generations)
+            .seed(self.seed)
+            .threads(self.threads)
+            .build()
+    }
+
     /// Structural validation a server performs before queueing: version
     /// match, non-empty design, a known harden operator, and a non-zero
     /// population.
@@ -171,7 +184,7 @@ impl JobSpec {
         if self.design.is_empty() {
             return Err("job spec names no design".into());
         }
-        if self.kind == JobKind::Harden && !matches!(self.op.as_str(), "cs" | "lda") {
+        if self.kind == JobKind::Harden && FlowConfig::for_operator(&self.op).is_none() {
             return Err(format!(
                 "unknown harden operator '{}' (expected cs or lda)",
                 self.op

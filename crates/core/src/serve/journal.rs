@@ -465,6 +465,15 @@ fn record_write_secs(secs: f64) {
     metrics().write_secs.set(total);
 }
 
+/// Serializes the core-lib tests that arm process-global faults or
+/// append to a [`Journal`]: a `journal.write` fault armed by one test
+/// would otherwise drop the appends of every test running beside it.
+#[cfg(test)]
+pub(crate) fn fault_test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    GATE.lock().unwrap_or_else(|p| p.into_inner())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -491,6 +500,7 @@ mod tests {
 
     #[test]
     fn append_replay_round_trips() {
+        let _guard = fault_test_lock();
         let dir = tmp_dir("roundtrip");
         let recs = sample_records();
         {
@@ -510,6 +520,7 @@ mod tests {
 
     #[test]
     fn replay_skips_torn_and_corrupt_lines() {
+        let _guard = fault_test_lock();
         let dir = tmp_dir("torn");
         let recs = sample_records();
         {
@@ -534,6 +545,7 @@ mod tests {
 
     #[test]
     fn rewrite_compacts_and_drops_old_segments() {
+        let _guard = fault_test_lock();
         let dir = tmp_dir("rotate");
         let j = Journal::open_with(&dir, 256, false).expect("open");
         for r in &sample_records() {
@@ -555,6 +567,7 @@ mod tests {
 
     #[test]
     fn injected_write_faults_degrade_without_losing_later_records() {
+        let _guard = fault_test_lock();
         let dir = tmp_dir("faults");
         faults::arm_spec("journal.write:always").expect("arm");
         let j = Journal::open(&dir).expect("open");

@@ -965,6 +965,7 @@ mod tests {
     /// every job's position and the claim order survived.
     #[test]
     fn recovery_restores_jobs_order_and_results() {
+        let _guard = crate::serve::journal::fault_test_lock();
         let dir = journal_dir("recover");
         let (running, paused, queued_hi, queued_lo, finished);
         {
@@ -1046,6 +1047,7 @@ mod tests {
 
     #[test]
     fn dedup_tokens_are_idempotent_and_survive_recovery() {
+        let _guard = crate::serve::journal::fault_test_lock();
         let dir = journal_dir("dedup");
         let first;
         {
@@ -1078,6 +1080,7 @@ mod tests {
 
     #[test]
     fn compaction_snapshot_replays_identically() {
+        let _guard = crate::serve::journal::fault_test_lock();
         let dir = journal_dir("compact");
         let journal = Arc::new(Journal::open_with(&dir, 64, false).expect("open"));
         let reg = Registry::with_journal(Some(journal));

@@ -37,8 +37,8 @@ use ggjson::Json;
 use tech::Technology;
 
 use crate::error::Error;
-use crate::flow::{FlowConfig, FlowMetrics, FlowRun};
-use crate::nsga2::{explore_with_engine, ExploreOptions, ExploreResult, Nsga2Params};
+use crate::flow::{harden, FlowMetrics};
+use crate::nsga2::{explore_with_engine, ExploreOptions, ExploreResult};
 use crate::serve::baseline::{BaselineCache, DesignContext};
 use crate::serve::job::{BaselineSummary, JobEvent, JobKind, JobSpec, JobStatus};
 use crate::serve::journal::Journal;
@@ -649,18 +649,7 @@ fn run_analyze(ctx: &DesignContext, tech: &Technology) -> StepOutcome {
 }
 
 fn run_harden(ctx: &DesignContext, tech: &Technology, spec: &JobSpec) -> StepOutcome {
-    let cfg = match spec.op.as_str() {
-        "cs" => FlowConfig::cell_shift_default(),
-        "lda" => FlowConfig::lda_default(),
-        other => {
-            return StepOutcome::Failed {
-                error: format!("unknown operator '{other}' (expected cs or lda)"),
-            }
-        }
-    };
-    // The oracle path (no engine), seed 1: the exact computation the
-    // one-shot `ggd harden` has always run.
-    let mut hardened = match FlowRun::new(ctx.base(), tech, &cfg).snapshot() {
+    let hardened = match harden(ctx.base(), tech, &spec.op, spec.out.as_deref()) {
         Ok(s) => s,
         Err(e) => {
             return StepOutcome::Failed {
@@ -670,19 +659,7 @@ fn run_harden(ctx: &DesignContext, tech: &Technology, spec: &JobSpec) -> StepOut
     };
     let metrics = FlowMetrics::from_snapshot(&hardened, ctx.base());
     let battery = secmetrics::attack::battery_success_rate(&hardened.security, tech);
-    let mut wrote = Json::Null;
-    if let Some(path) = &spec.out {
-        // The snapshot's layout is Arc-shared; un-share before mutating.
-        let hl = std::sync::Arc::make_mut(&mut hardened.layout);
-        layout::insert_fillers(hl.occupancy_mut(), tech);
-        let lib = gdsii::layout_to_gds(&hardened.layout, tech, Some(&hardened.routing));
-        if let Err(e) = std::fs::write(path, lib.to_bytes()) {
-            return StepOutcome::Failed {
-                error: format!("cannot write {path}: {e}"),
-            };
-        }
-        wrote = Json::Str(path.clone());
-    }
+    let wrote = spec.out.clone().map_or(Json::Null, Json::Str);
     let result = Json::Obj(vec![
         ("baseline".to_owned(), ggjson::ToJson::to_json(&ctx.summary)),
         (
@@ -708,12 +685,7 @@ fn run_explore_step(
     step: u64,
     ckpt: &Path,
 ) -> StepOutcome {
-    let params = Nsga2Params::builder()
-        .population(spec.population)
-        .generations(spec.generations)
-        .seed(spec.seed)
-        .threads(spec.threads)
-        .build();
+    let params = spec.nsga2_params();
     let opts = ExploreOptions {
         checkpoint: Some(ckpt.to_path_buf()),
         resume: step > 0 || spec.resume,

@@ -245,33 +245,55 @@ fn cli_rejects_unknown_flags_and_prints_help() {
     let text = String::from_utf8_lossy(&help.stderr);
     assert!(text.contains("usage: ggd"));
     assert!(text.contains("serve"), "help documents the daemon");
+}
+
+#[test]
+fn positional_design_is_rejected_naming_the_flag() {
+    let out = Command::new(env!("CARGO_BIN_EXE_ggd"))
+        .args(["analyze", "TINY"])
+        .output()
+        .expect("run ggd analyze TINY");
+    assert!(!out.status.success(), "a positional design is an error");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("TINY"), "error names the stray argument");
+    assert!(stderr.contains("--design"), "error names the flag");
+}
+
+/// Runs a one-shot `ggd explore` on TINY with the smoke population and
+/// extra flags, returning `(stdout, stderr)` of a successful run.
+fn one_shot_explore(extra: &[&str]) -> (String, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_ggd"))
+        .args(["explore", "--design", "TINY", "--pop", "4", "--gens", "2"])
+        .args(extra)
+        .output()
+        .expect("run one-shot ggd explore");
+    assert!(out.status.success(), "one-shot explore succeeds");
+    (
+        String::from_utf8(out.stdout).expect("utf-8 stdout"),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+#[test]
+fn one_shot_explore_never_resumes_an_uninterrupted_run() {
+    let (_, stderr) = one_shot_explore(&[]);
     assert!(
-        text.contains("deprecated positional aliases"),
-        "help documents the positional-to-flag mapping"
+        !stderr.contains("resumed from checkpoint"),
+        "a plain one-shot run has no checkpoint to resume from:\n{stderr}"
     );
 }
 
 #[test]
-fn positional_aliases_still_work() {
-    // Deprecated positional form of analyze: `ggd analyze TINY`.
-    let out = Command::new(env!("CARGO_BIN_EXE_ggd"))
-        .args(["analyze", "TINY"])
-        .stderr(Stdio::null())
-        .output()
-        .expect("run ggd analyze TINY");
-    assert!(out.status.success());
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("baseline:"));
-    assert!(stdout.contains("Trojan battery success rate"));
-
-    // Flag form produces the same bytes.
-    let flagged = Command::new(env!("CARGO_BIN_EXE_ggd"))
-        .args(["analyze", "--design", "TINY"])
-        .stderr(Stdio::null())
-        .output()
-        .expect("run ggd analyze --design TINY");
-    assert!(flagged.status.success());
-    assert_eq!(out.stdout, flagged.stdout);
+fn one_shot_checkpoint_resume_prints_identical_stdout() {
+    let dir = std::env::temp_dir().join(format!("gg-oneshot-ckpt-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    let ckpt = dir.join("explore.ckpt");
+    let ckpt = ckpt.to_str().expect("utf-8 path");
+    let (first, _) = one_shot_explore(&["--checkpoint", ckpt]);
+    let (resumed, _) = one_shot_explore(&["--checkpoint", ckpt, "--resume"]);
+    assert_eq!(first, resumed, "a resumed run prints the same front");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -39,10 +39,116 @@ fn blockage_occupancy(layout: &Layout) -> Vec<u64> {
         .collect()
 }
 
+/// Blockage indices per placement row (rows past `n_rows` are dropped),
+/// each row sorted by `col0`. Built once per [`eco_place`] call: LDA
+/// tiles the whole core, so a flat scan over all N² windows per query
+/// would dominate, and the column order lets the gap query stop at the
+/// first window right of a candidate.
+fn blockages_by_row(blockages: &[Blockage], n_rows: u32) -> Vec<Vec<usize>> {
+    let mut by_row: Vec<Vec<usize>> = vec![Vec::new(); n_rows as usize];
+    for (bi, b) in blockages.iter().enumerate() {
+        for row in b.row0..b.row1.min(n_rows) {
+            by_row[row as usize].push(bi);
+        }
+    }
+    for row in &mut by_row {
+        row.sort_by_key(|&bi| (blockages[bi].col0, bi));
+    }
+    by_row
+}
+
+/// The windows of `by_row` covering `row`; none past its end.
+fn row_windows(by_row: &[Vec<usize>], row: u32) -> &[usize] {
+    by_row.get(row as usize).map_or(&[], Vec::as_slice)
+}
+
+/// `(window, overlap in sites)` for every window on `pos.row` that a
+/// `width`-site footprint at `pos` touches.
+fn footprint_overlaps<'a>(
+    by_row: &'a [Vec<usize>],
+    blockages: &'a [Blockage],
+    pos: SitePos,
+    width: u32,
+) -> impl Iterator<Item = (usize, u64)> + 'a {
+    row_windows(by_row, pos.row).iter().map(move |&bi| {
+        let ov = overlap_sites(&blockages[bi], pos.row, pos.col, width);
+        (bi, ov as u64)
+    })
+}
+
 /// Phase 1: evicts the least-connected movable cells out of every
 /// over-budget blockage window, updating `occupied` incrementally.
 /// Returns the evicted cells in their deterministic eviction order.
+///
+/// Candidates come from a per-call bucket of the movable placed cells by
+/// origin row (cells are one row tall), and each cell's degree is
+/// computed at most once. Phase 1 only removes cells, so a bucketed cell
+/// is either still at its bucketed position or gone; the sort key
+/// `(degree, Reverse(overlap), id)` is a total order, so the eviction
+/// order matches the all-cells sweep of [`evict_over_budget_scan`].
 fn evict_over_budget(
+    layout: &mut Layout,
+    blockages: &[Blockage],
+    by_row: &[Vec<usize>],
+    occupied: &mut [u64],
+    stats: &mut EcoPlaceStats,
+) -> Vec<CellId> {
+    let design = layout.design().clone();
+    let clock = design.clock;
+    let mut cells_by_row: Vec<Vec<CellId>> = vec![Vec::new(); by_row.len()];
+    for (id, _) in design.cells_iter() {
+        if layout.occupancy().is_locked(id) {
+            continue;
+        }
+        if let Some(pos) = layout.cell_pos(id) {
+            cells_by_row[pos.row as usize].push(id);
+        }
+    }
+    let mut degree: Vec<Option<usize>> = vec![None; design.cells.len()];
+    let mut evicted: Vec<CellId> = Vec::new();
+    for (bi, b) in blockages.iter().enumerate() {
+        if occupied[bi] <= b.site_budget() {
+            continue;
+        }
+        // Movable cells whose footprint overlaps this window, least
+        // connected first (cheapest to displace far away).
+        let mut candidates: Vec<(usize, u32, CellId)> = Vec::new();
+        for row in b.row0..b.row1.min(by_row.len() as u32) {
+            for &id in &cells_by_row[row as usize] {
+                let Some(pos) = layout.cell_pos(id) else {
+                    continue; // evicted from an earlier window
+                };
+                let w = layout.occupancy().cell_width(id).expect("placed");
+                let ov = overlap_sites(b, pos.row, pos.col, w);
+                if ov > 0 {
+                    let deg = *degree[id.0 as usize]
+                        .get_or_insert_with(|| crate::global::neighbors(&design, id, clock).len());
+                    candidates.push((deg, ov, id));
+                }
+            }
+        }
+        candidates.sort_by_key(|&(deg, ov, id)| (deg, std::cmp::Reverse(ov), id));
+        for (_, ov, id) in candidates {
+            if occupied[bi] <= b.site_budget() {
+                break;
+            }
+            let pos = layout.cell_pos(id).expect("still placed");
+            let w = layout.occupancy().cell_width(id).expect("placed");
+            layout.occupancy_mut().remove_cell(id).expect("not locked");
+            for (bj, ov) in footprint_overlaps(by_row, blockages, pos, w) {
+                occupied[bj] -= ov;
+            }
+            debug_assert!(ov > 0);
+            evicted.push(id);
+            stats.evicted += 1;
+        }
+    }
+    evicted
+}
+
+/// The all-cells-sweep [`evict_over_budget`] the reference legalizer
+/// keeps, so the replay test pins the bucketed phase 1 as well.
+fn evict_over_budget_scan(
     layout: &mut Layout,
     blockages: &[Blockage],
     occupied: &mut [u64],
@@ -114,6 +220,13 @@ fn ideal_site(layout: &Layout, tech: &Technology, neigh: &[CellId]) -> SitePos {
     layout.floorplan().site_at(ideal)
 }
 
+/// Injection point covering ECO legalization: checked on entry and once per
+/// re-placed cell (the legalizer-side granularity of the cooperative eval
+/// deadline). A fault here unwinds mid-mutation; callers hand the legalizer
+/// a candidate copy-on-write snapshot, which the evaluation sandbox discards
+/// wholesale, so no half-legalized layout is ever observed.
+static ECO_LEGALIZE: faults::Point = faults::Point::new("eco.legalize");
+
 /// Incremental, blockage-aware ECO placement.
 ///
 /// Innovus-style contract: cells already satisfying every partial placement
@@ -124,9 +237,12 @@ fn ideal_site(layout: &Layout, tech: &Technology, neigh: &[CellId]) -> SitePos {
 /// never moved.
 ///
 /// Gap queries run against the occupancy map's persistent per-row gap
-/// index ([`layout::Occupancy::gaps`]) instead of scanning sites; the
-/// selection semantics are bit-identical to the scan-based reference
-/// ([`eco_place_reference`], pinned by the `gap_index_replay` test).
+/// index ([`layout::Occupancy::gaps`]) instead of scanning sites, and skip
+/// work whose answer is already known: runs inside a window too full to
+/// take the cell, and compactions at a width that already failed since the
+/// last successful one. The selection semantics are bit-identical to the
+/// scan-based reference ([`eco_place_reference`], pinned by the
+/// `gap_index_replay` test).
 ///
 /// `seed` is retained for API stability but no longer influences the
 /// result: re-placement order is the total order
@@ -134,13 +250,6 @@ fn ideal_site(layout: &Layout, tech: &Technology, neigh: &[CellId]) -> SitePos {
 /// determined by the layout and blockages.
 ///
 /// Returns statistics about the incremental changes.
-/// Injection point covering ECO legalization: checked on entry and once per
-/// re-placed cell (the legalizer-side granularity of the cooperative eval
-/// deadline). A fault here unwinds mid-mutation; callers hand the legalizer
-/// a candidate copy-on-write snapshot, which the evaluation sandbox discards
-/// wholesale, so no half-legalized layout is ever observed.
-static ECO_LEGALIZE: faults::Point = faults::Point::new("eco.legalize");
-
 pub fn eco_place(layout: &mut Layout, tech: &Technology, seed: u64) -> EcoPlaceStats {
     let _ = seed;
     ECO_LEGALIZE.check();
@@ -152,16 +261,18 @@ pub fn eco_place(layout: &mut Layout, tech: &Technology, seed: u64) -> EcoPlaceS
         return stats;
     }
     let mut occupied = blockage_occupancy(layout);
+    let by_row = blockages_by_row(&blockages, layout.floorplan().rows());
 
     // Phase 1: evict from over-budget windows.
     let mut evicted: Vec<CellId> = Vec::new();
     obs::span("eco.phase1", |sp| {
-        evicted = evict_over_budget(layout, &blockages, &mut occupied, &mut stats);
+        evicted = evict_over_budget(layout, &blockages, &by_row, &mut occupied, &mut stats);
         obs::trace(obs::Topic::Lda, || {
             format!("  eco phase1 {:.2}s", sp.elapsed().as_secs_f64())
         });
     });
     let mut n_fallback_compact = 0usize;
+    let mut n_compaction_skipped = 0usize;
     // Phase 2: re-place evicted cells near their wirelength-optimal spots.
     // Widest first: wide cells (flops) need long gaps, which narrower cells
     // would otherwise fragment. The CellId tie-break makes the key a total
@@ -174,57 +285,75 @@ pub fn eco_place(layout: &mut Layout, tech: &Technology, seed: u64) -> EcoPlaceS
                 std::cmp::Reverse(id),
             )
         });
+        // Widths whose compaction failed since the last one that succeeded.
+        // Between compactions phase 2 only inserts cells, which cannot make
+        // a failed window qualify: free sites only shrink, window occupancy
+        // only grows, locked and straddling cells stay, and the window set
+        // depends only on the width and the core.
+        let mut failed_widths: Vec<u32> = Vec::new();
         for id in evicted.iter().copied() {
             ECO_LEGALIZE.check();
             let w = tech.library.kind(design.cell(id).kind).width_sites;
             let neigh = crate::global::neighbors(&design, id, clock);
             let near = ideal_site(layout, tech, &neigh);
-            let dest = find_gap_under_budgets(layout.occupancy(), &blockages, &occupied, w, near);
-            match dest {
+            let dest =
+                find_gap_under_budgets(layout.occupancy(), &blockages, &by_row, &occupied, w, near);
+            let pos = match dest {
                 Some(pos) => {
-                    layout
-                        .occupancy_mut()
-                        .place_cell(id, w, pos)
-                        .expect("gap verified free");
-                    for (bj, bb) in blockages.iter().enumerate() {
-                        occupied[bj] += overlap_sites(bb, pos.row, pos.col, w) as u64;
-                    }
                     stats.replaced_in_bounds += 1;
+                    pos
                 }
                 None => {
                     // No ready-made gap: compact a row segment to create one
                     // (still respecting budgets), like a real incremental
                     // placer. Only if even that fails, place anywhere.
                     n_fallback_compact += 1;
-                    let compacted =
-                        make_gap_by_compaction(layout, &blockages, &mut occupied, w, near);
-                    let pos = compacted.unwrap_or_else(|| {
+                    let compacted = if failed_widths.contains(&w) {
+                        n_compaction_skipped += 1;
+                        None
+                    } else {
+                        let compacted = make_gap_by_compaction(
+                            layout,
+                            &blockages,
+                            &by_row,
+                            &mut occupied,
+                            w,
+                            near,
+                        );
+                        match compacted {
+                            Some(_) => failed_widths.clear(),
+                            None => failed_widths.push(w),
+                        }
+                        compacted
+                    };
+                    stats.replaced_fallback += 1;
+                    compacted.unwrap_or_else(|| {
                         let fp = *layout.floorplan();
                         layout
                             .occupancy()
                             .find_gap(w, near, fp.rows().max(fp.cols()))
                             .expect("core has capacity for all cells")
-                    });
-                    layout
-                        .occupancy_mut()
-                        .place_cell(id, w, pos)
-                        .expect("gap verified free");
-                    for (bj, bb) in blockages.iter().enumerate() {
-                        occupied[bj] += overlap_sites(bb, pos.row, pos.col, w) as u64;
-                    }
-                    stats.replaced_fallback += 1;
+                    })
                 }
+            };
+            layout
+                .occupancy_mut()
+                .place_cell(id, w, pos)
+                .expect("gap verified free");
+            for (bj, ov) in footprint_overlaps(&by_row, &blockages, pos, w) {
+                occupied[bj] += ov;
             }
         }
         obs::trace(obs::Topic::Lda, || {
             format!(
-                "  eco phase2 {:.2}s (compaction fallbacks {})",
+                "  eco phase2 {:.2}s (compaction fallbacks {}, skipped {})",
                 sp.elapsed().as_secs_f64(),
                 n_fallback_compact,
+                n_compaction_skipped,
             )
         });
     });
-    eco_metrics_record(&stats, n_fallback_compact);
+    eco_metrics_record(&stats, n_fallback_compact, n_compaction_skipped);
     debug_assert!(layout.check_consistency(tech).is_ok());
     stats
 }
@@ -248,7 +377,7 @@ pub fn eco_place_reference(layout: &mut Layout, tech: &Technology, seed: u64) ->
         return stats;
     }
     let mut occupied = blockage_occupancy(layout);
-    let mut evicted = evict_over_budget(layout, &blockages, &mut occupied, &mut stats);
+    let mut evicted = evict_over_budget_scan(layout, &blockages, &mut occupied, &mut stats);
     evicted.sort_by_key(|&id| {
         (
             std::cmp::Reverse(tech.library.kind(design.cell(id).kind).width_sites),
@@ -282,6 +411,7 @@ pub fn eco_place_reference(layout: &mut Layout, tech: &Technology, seed: u64) ->
                 let compacted = make_gap_by_compaction_impl(
                     layout,
                     &blockages,
+                    &blockages_by_row(&blockages, fp_rows),
                     &mut occupied,
                     w,
                     near,
@@ -314,13 +444,15 @@ pub fn eco_place_reference(layout: &mut Layout, tech: &Technology, seed: u64) ->
 
 /// Folds one run's [`EcoPlaceStats`] into the registry-backed ECO
 /// counters (`eco.evicted`, `eco.replaced_in_bounds`,
-/// `eco.replaced_fallback`, `eco.compaction_fallbacks`).
-fn eco_metrics_record(stats: &EcoPlaceStats, n_fallback_compact: usize) {
+/// `eco.replaced_fallback`, `eco.compaction_fallbacks`,
+/// `eco.compaction_skipped`).
+fn eco_metrics_record(stats: &EcoPlaceStats, n_fallback_compact: usize, n_skipped: usize) {
     struct EcoMetrics {
         evicted: obs::Counter,
         replaced_in_bounds: obs::Counter,
         replaced_fallback: obs::Counter,
         compaction_fallbacks: obs::Counter,
+        compaction_skipped: obs::Counter,
     }
     static METRICS: std::sync::OnceLock<EcoMetrics> = std::sync::OnceLock::new();
     let m = METRICS.get_or_init(|| EcoMetrics {
@@ -328,11 +460,13 @@ fn eco_metrics_record(stats: &EcoPlaceStats, n_fallback_compact: usize) {
         replaced_in_bounds: obs::counter("eco.replaced_in_bounds"),
         replaced_fallback: obs::counter("eco.replaced_fallback"),
         compaction_fallbacks: obs::counter("eco.compaction_fallbacks"),
+        compaction_skipped: obs::counter("eco.compaction_skipped"),
     });
     m.evicted.add(stats.evicted as u64);
     m.replaced_in_bounds.add(stats.replaced_in_bounds as u64);
     m.replaced_fallback.add(stats.replaced_fallback as u64);
     m.compaction_fallbacks.add(n_fallback_compact as u64);
+    m.compaction_skipped.add(n_skipped as u64);
 }
 
 /// Registry handles for the gap-index query telemetry.
@@ -341,9 +475,12 @@ struct GapMetrics {
     queries: obs::Counter,
     /// Queries answered with an in-bounds gap (no fallback needed).
     hits: obs::Counter,
-    /// Free runs examined per query (the index's unit of work; the
-    /// pre-index scan examined every *site* instead).
+    /// Free runs examined per query after window skips (the index's unit
+    /// of work; the pre-index scan examined every *site* instead).
     scan_len: obs::Histogram,
+    /// Free runs jumped because they lie inside a window too full to
+    /// take the cell.
+    runs_skipped: obs::Counter,
 }
 
 fn gap_metrics() -> &'static GapMetrics {
@@ -352,6 +489,7 @@ fn gap_metrics() -> &'static GapMetrics {
         queries: obs::counter("eco.gap_queries"),
         hits: obs::counter("eco.gap_hit"),
         scan_len: obs::histogram("eco.gap_scan_len"),
+        runs_skipped: obs::counter("eco.gap_runs_skipped"),
     })
 }
 
@@ -360,18 +498,20 @@ fn gap_metrics() -> &'static GapMetrics {
 /// right end. Rows are tried nearest-first; a window qualifies when it
 /// holds `width` free sites, contains no locked cell, and every blockage it
 /// touches has at least `width` sites of headroom left. Moved cells update
-/// `occupied` incrementally.
+/// `occupied` incrementally. `by_row` is [`blockages_by_row`] of
+/// `blockages`.
 ///
 /// Free-site counts come from the occupancy map's gap index (cumulative
 /// run lengths, O(log g) per window query) instead of per-row site scans.
 pub(crate) fn make_gap_by_compaction(
     layout: &mut Layout,
     blockages: &[Blockage],
+    by_row: &[Vec<usize>],
     occupied: &mut [u64],
     width: u32,
     near: SitePos,
 ) -> Option<SitePos> {
-    make_gap_by_compaction_impl(layout, blockages, occupied, width, near, |l, r| {
+    make_gap_by_compaction_impl(layout, blockages, by_row, occupied, width, near, |l, r| {
         l.occupancy().empty_runs(r)
     })
 }
@@ -382,6 +522,7 @@ pub(crate) fn make_gap_by_compaction(
 fn make_gap_by_compaction_impl(
     layout: &mut Layout,
     blockages: &[Blockage],
+    by_row: &[Vec<usize>],
     occupied: &mut [u64],
     width: u32,
     near: SitePos,
@@ -423,15 +564,6 @@ fn make_gap_by_compaction_impl(
         };
         free_before(c1) - free_before(c0)
     };
-    // Blockages bucketed per row: LDA tiles the whole core, so a flat
-    // headroom scan over all N² windows per candidate window would
-    // dominate the search.
-    let mut blk_by_row: Vec<Vec<usize>> = vec![Vec::new(); fp.rows() as usize];
-    for (bi, b) in blockages.iter().enumerate() {
-        for row in b.row0..b.row1.min(fp.rows()) {
-            blk_by_row[row as usize].push(bi);
-        }
-    }
     // Dense layouts need wider windows to scrape `width` free sites
     // together; escalate the window span until one qualifies.
     for span in [width * 3, width * 8, width * 20, cols] {
@@ -449,7 +581,7 @@ fn make_gap_by_compaction_impl(
                 }
                 // Cheap rejections first: every blockage the window touches
                 // needs headroom before the per-cell scan is worth running.
-                let headroom_ok = blk_by_row[row as usize].iter().all(|&bi| {
+                let headroom_ok = row_windows(by_row, row).iter().all(|&bi| {
                     let b = &blockages[bi];
                     overlap_sites(b, row, c0, span) == 0
                         || occupied[bi] + width as u64 <= b.site_budget()
@@ -491,13 +623,16 @@ fn make_gap_by_compaction_impl(
                 let mut cursor = c0;
                 for &(id, pos, w) in &cells {
                     if pos.col > cursor {
+                        let to = SitePos::new(row, cursor);
                         layout
                             .occupancy_mut()
-                            .move_cell(id, SitePos::new(row, cursor))
+                            .move_cell(id, to)
                             .expect("window is self-contained");
-                        for (bi, b) in blockages.iter().enumerate() {
-                            occupied[bi] -= overlap_sites(b, row, pos.col, w) as u64;
-                            occupied[bi] += overlap_sites(b, row, cursor, w) as u64;
+                        for (bi, ov) in footprint_overlaps(by_row, blockages, pos, w) {
+                            occupied[bi] -= ov;
+                        }
+                        for (bi, ov) in footprint_overlaps(by_row, blockages, to, w) {
+                            occupied[bi] += ov;
                         }
                     }
                     cursor += w;
@@ -512,17 +647,27 @@ fn make_gap_by_compaction_impl(
 
 /// Nearest empty gap of `width` sites around `near` whose occupation keeps
 /// every blockage within budget, read from the occupancy map's gap index.
+/// `by_row` is [`blockages_by_row`] of `blockages`.
 ///
 /// Candidate order and tie-breaks replicate the scan-based reference
 /// ([`find_gap_under_budgets_scan`]) exactly: rows in ascending order
 /// with a distance prune, runs left to right with the distance-optimal
 /// origin plus the run ends (so budget rejections can slide along the
-/// run), strict improvement on the Chebyshev distance. The index adds an
-/// in-row break once runs start too far right of the target to win —
-/// every run it skips would have failed the strict-improvement test.
+/// run), strict improvement on the Chebyshev distance. Three skips drop
+/// only work that cannot change the answer:
+///
+/// - an in-row break once runs start too far right of the target to win;
+/// - a jump past every run lying inside one window whose headroom
+///   (`site_budget − occupied`) is below `width` — every origin in such a
+///   run overlaps that window by `width`, so none fits;
+/// - budget checks against only the windows a candidate can overlap:
+///   from a column pointer that only moves forward (every window behind
+///   it ends at or before the current run's start) up to the first
+///   window starting at or after the footprint's end.
 fn find_gap_under_budgets(
     occ: &Occupancy,
     blockages: &[Blockage],
+    by_row: &[Vec<usize>],
     occupied: &[u64],
     width: u32,
     near: SitePos,
@@ -530,16 +675,9 @@ fn find_gap_under_budgets(
     let n_rows = occ.floorplan().rows();
     let gm = gap_metrics();
     gm.queries.incr();
-    // Bucket the blockages per row so each candidate only checks the few
-    // windows that can actually overlap it (LDA tiles the whole core, so a
-    // flat scan over all N² windows per candidate would dominate runtime).
-    let mut by_row: Vec<Vec<usize>> = vec![Vec::new(); n_rows as usize];
-    for (bi, b) in blockages.iter().enumerate() {
-        for row in b.row0..b.row1.min(n_rows) {
-            by_row[row as usize].push(bi);
-        }
-    }
+    let hopeless = |bi: usize| occupied[bi] + width as u64 > blockages[bi].site_budget();
     let mut scanned = 0u64;
+    let mut skipped = 0u64;
     let mut best: Option<(u32, SitePos)> = None;
     for row in 0..n_rows {
         let dr = row.abs_diff(near.row);
@@ -548,12 +686,35 @@ fn find_gap_under_budgets(
                 continue;
             }
         }
-        for run in occ.gaps(row).iter().copied() {
+        let runs = occ.gaps(row);
+        let windows = row_windows(by_row, row);
+        let mut first = 0usize;
+        let mut i = 0usize;
+        while let Some(&run) = runs.get(i) {
             if let Some((bd, _)) = best {
                 if run.lo > near.col && run.lo - near.col >= bd {
                     break;
                 }
             }
+            while windows
+                .get(first)
+                .is_some_and(|&bi| blockages[bi].col1 <= run.lo)
+            {
+                first += 1;
+            }
+            let live = &windows[first..];
+            let full = live
+                .iter()
+                .take_while(|&&bi| blockages[bi].col0 <= run.lo)
+                .find(|&&bi| run.hi <= blockages[bi].col1 && hopeless(bi));
+            if let Some(&bi) = full {
+                let end = i + runs[i..].partition_point(|iv| iv.hi <= blockages[bi].col1);
+                debug_assert!(end > i, "the window contains run {i}");
+                skipped += (end - i) as u64;
+                i = end;
+                continue;
+            }
+            i += 1;
             scanned += 1;
             if run.len() < width {
                 continue;
@@ -568,11 +729,14 @@ fn find_gap_under_budgets(
                 if best.is_some_and(|(bd, _)| d >= bd) {
                     continue;
                 }
-                let fits_budget = by_row[row as usize].iter().all(|&bi| {
-                    let b = &blockages[bi];
-                    let ov = overlap_sites(b, row, col, width) as u64;
-                    ov == 0 || occupied[bi] + ov <= b.site_budget()
-                });
+                let fits_budget = live
+                    .iter()
+                    .take_while(|&&bi| blockages[bi].col0 < col + width)
+                    .all(|&bi| {
+                        let b = &blockages[bi];
+                        let ov = overlap_sites(b, row, col, width) as u64;
+                        ov == 0 || occupied[bi] + ov <= b.site_budget()
+                    });
                 if fits_budget {
                     best = Some((d, SitePos::new(row, col)));
                 }
@@ -580,6 +744,7 @@ fn find_gap_under_budgets(
         }
     }
     gm.scan_len.record(scanned);
+    gm.runs_skipped.add(skipped);
     if best.is_some() {
         gm.hits.incr();
     }

@@ -165,7 +165,7 @@ pub fn global_place(layout: &mut Layout, tech: &Technology, seed: u64) {
         let pos = layout
             .occupancy()
             .find_gap(w, center, rows.max(cols))
-            .or_else(|| crate::eco::make_gap_by_compaction(layout, &[], &mut [], w, center))
+            .or_else(|| crate::eco::make_gap_by_compaction(layout, &[], &[], &mut [], w, center))
             .unwrap_or_else(|| panic!("core cannot hold {}", design.name));
         layout
             .occupancy_mut()

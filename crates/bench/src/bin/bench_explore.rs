@@ -28,9 +28,9 @@
 //!   checkpoint instead of starting over.
 //!
 //! The instrumented run checkpoints at generation boundaries under the
-//! adaptive ~2 % overhead budget (default `results/checkpoint.ggjson`,
-//! override with `GG_CHECKPOINT`); the report records the cumulative
-//! checkpoint wall as a percentage of the explore wall.
+//! adaptive ~2 % overhead budget (to `results/checkpoint.ggjson`); the
+//! report records the cumulative checkpoint wall as a percentage of the
+//! explore wall.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
@@ -379,7 +379,7 @@ fn smoke() {
     // cumulative append wall (`journal.write_secs`) stays under 2 % of
     // the explore wall — crash-safety must be nearly free.
     {
-        use gdsii_guard::serve::{JobSpec, Server, ServerConfig};
+        use gg_serve::{JobSpec, Server, ServerConfig};
         // Best-of-REPS like the telemetry gate: a single rep's ~16 ms
         // wall is noise-dominated on a shared box.
         let mut best_frac = f64::INFINITY;
@@ -454,18 +454,19 @@ fn main() {
     let resume = args.iter().any(|a| a == "--resume");
     let tech = Technology::nangate45_like();
     // `--design NAME` swaps the benchmark subject (default TINY); names
-    // resolve through the serve roster, so scaled `NAME@xN` forms work and
-    // a typo dies here with the full roster instead of deep in the run.
+    // resolve through the `netlist::bench` roster, so scaled `NAME@xN`
+    // forms work and a typo dies here with the full roster instead of
+    // deep in the run.
     let spec = match args.iter().position(|a| a == "--design") {
         Some(i) => {
             let name = args.get(i + 1).unwrap_or_else(|| {
                 eprintln!("--design needs a value");
                 std::process::exit(2);
             });
-            gdsii_guard::serve::baseline::resolve_spec(name).unwrap_or_else(|| {
+            netlist::bench::parse_spec(name).unwrap_or_else(|| {
                 eprintln!(
                     "unknown design '{name}'; known designs: {}",
-                    gdsii_guard::serve::baseline::known_designs()
+                    netlist::bench::known_designs()
                 );
                 std::process::exit(2);
             })
@@ -477,13 +478,13 @@ fn main() {
     // smoke mode (and the telemetry_regression test) pin down that the
     // enabled path stays cheap and observation-only, so the explore wall
     // below is still representative. Every generation checkpoints to the
-    // results dir (or GG_CHECKPOINT) so `--resume` can continue a killed
-    // run.
-    let mut opts = ExploreOptions::from_env();
-    if opts.checkpoint.is_none() {
-        opts.checkpoint = Some(results_dir().join("checkpoint.ggjson"));
-    }
-    opts.resume = resume;
+    // results dir so `--resume` can continue a killed run.
+    let opts = ExploreOptions {
+        checkpoint: Some(results_dir().join("checkpoint.ggjson")),
+        resume,
+        halt_after: None,
+        deadline: gdsii_guard::sandbox::SandboxPolicy::from_env().deadline,
+    };
 
     gdsii_guard::obs::reset();
     gdsii_guard::obs::set_enabled(true);

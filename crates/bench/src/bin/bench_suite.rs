@@ -71,6 +71,8 @@ struct SuiteRow {
     occupancy_bytes: u64,
     route_planes_bytes: u64,
     eval_cache_bytes: u64,
+    /// Process peak RSS after this row. The peak is cumulative, so the
+    /// increase over the previous row is what this row's design added.
     peak_rss_bytes: u64,
 }
 
@@ -99,23 +101,6 @@ ggjson::json_struct!(SuiteRow {
     eval_cache_bytes,
     peak_rss_bytes
 });
-
-/// The process high-water resident set in bytes, from
-/// `/proc/self/status` (`VmHWM`). 0 where procfs is unavailable. The
-/// kernel counter is monotone for the process lifetime, so per-row values
-/// are cumulative peaks — the increase over the previous row is what the
-/// row's design added.
-fn peak_rss_bytes() -> u64 {
-    let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
-        return 0;
-    };
-    status
-        .lines()
-        .find_map(|l| l.strip_prefix("VmHWM:"))
-        .and_then(|rest| rest.split_whitespace().next())
-        .and_then(|kb| kb.parse::<u64>().ok())
-        .map_or(0, |kb| kb * 1024)
-}
 
 /// Replays `points` serially through `eval`, returning wall seconds.
 /// Serial on purpose: one worker keeps the thread-local scratch warm and
@@ -219,7 +204,7 @@ fn run_design(spec: &DesignSpec, tech: &Technology, params: &Nsga2Params) -> Sui
         occupancy_bytes: gauge("mem.occupancy_bytes"),
         route_planes_bytes: gauge("mem.route_planes_bytes"),
         eval_cache_bytes: gauge("eval.cache_bytes"),
-        peak_rss_bytes: peak_rss_bytes(),
+        peak_rss_bytes: obs::peak_rss_bytes(),
     }
 }
 
@@ -252,10 +237,10 @@ fn flag_value<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
 }
 
 fn resolve_or_die(name: &str) -> DesignSpec {
-    gdsii_guard::serve::baseline::resolve_spec(name).unwrap_or_else(|| {
+    netlist::bench::parse_spec(name).unwrap_or_else(|| {
         eprintln!(
             "unknown design '{name}'; known designs: {}",
-            gdsii_guard::serve::baseline::known_designs()
+            netlist::bench::known_designs()
         );
         std::process::exit(2);
     })
@@ -313,7 +298,7 @@ fn main() {
     let suite_wall_secs = suite_t0.elapsed().as_secs_f64();
 
     if smoke {
-        let peak = peak_rss_bytes();
+        let peak = obs::peak_rss_bytes();
         println!(
             "smoke: {} designs in {suite_wall_secs:.2}s (budget {SMOKE_WALL_BUDGET_SECS}s), \
              peak RSS {} MiB (budget {} MiB)",

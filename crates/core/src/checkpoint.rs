@@ -238,9 +238,9 @@ pub fn fingerprint(base: &Snapshot) -> String {
     hex64(h)
 }
 
-/// FNV-1a over a byte slice (shared with the job journal's per-line
-/// checksums).
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
+/// FNV-1a over a byte slice: the checkpoint checksum, also used by the
+/// `ggd serve` job journal for its per-line checksums.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
         h ^= u64::from(b);

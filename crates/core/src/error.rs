@@ -4,10 +4,15 @@
 //! [`layout::Layout::check_consistency`] and a poisoned operator-edit
 //! cache. Both now surface as [`Error`] from the validating entry points
 //! ([`crate::pipeline::evaluate`], [`crate::pipeline::implement_baseline`],
-//! the checked [`crate::flow::FlowRun`] terminals); the
-//! [`crate::flow::FlowRun::unchecked`] path keeps the old infallible
-//! behaviour for callers that construct layouts themselves and have
-//! already validated them.
+//! the [`crate::flow::FlowRun`] terminals). Callers that construct and
+//! validate layouts themselves use
+//! [`crate::pipeline::implement_baseline_unchecked`] /
+//! [`crate::pipeline::evaluate_unchecked`], which keep the infallible
+//! behaviour.
+//!
+//! The `ggd` front end and its job daemon (crate `gg-serve`) report
+//! through the same type, so the server and transport variants live here
+//! too.
 
 use std::fmt;
 
@@ -38,8 +43,8 @@ pub enum Error {
     /// The job server is over its admission limits (queue depth or memory
     /// budget) and refused a submit. Unlike [`Error::Serve`] this is
     /// *retryable*: the same request is expected to succeed once load
-    /// drains, and [`crate::serve::Client`] retries it with backoff
-    /// before surfacing the error.
+    /// drains, and the `gg-serve` client retries it with backoff before
+    /// surfacing the error.
     Busy(String),
     /// A command-line invocation could not be parsed (unknown subcommand,
     /// unknown flag, missing or malformed argument). The payload is the

@@ -17,9 +17,9 @@
 //!    Table-I parameter space.
 //! 5. [`nsga2`] — the multi-objective (security, timing) exploration with
 //!    DRC and power constraints, yielding Pareto-optimal hardened layouts.
-//! 6. [`serve`] — exploration-as-a-service: the multi-tenant job daemon
-//!    behind `ggd serve` (queued jobs with priorities, checkpoint-backed
-//!    pause/resume, streaming progress over a Unix-domain socket).
+//!
+//! The `ggd` command line and its `ggd serve` job daemon live in the
+//! separate `gg-serve` crate, which builds on this library's public API.
 //!
 //! # Examples
 //!
@@ -65,7 +65,6 @@ pub mod pipeline;
 pub mod preprocess;
 pub mod rws;
 pub mod sandbox;
-pub mod serve;
 
 pub use checkpoint::Checkpoint;
 pub use error::Error;
@@ -100,7 +99,6 @@ pub mod prelude {
         CowSnapshot, EvalEngine, Snapshot,
     };
     pub use crate::sandbox::{EvalFailure, EvalStatus};
-    pub use crate::serve;
     pub use obs;
 }
 

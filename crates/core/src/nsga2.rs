@@ -9,7 +9,7 @@
 //! run in parallel across worker threads, mirroring the paper's
 //! process-level parallelism.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -662,19 +662,6 @@ pub struct ExploreOptions {
     pub deadline: Option<Duration>,
 }
 
-impl ExploreOptions {
-    /// Environment-driven options for binaries: `GG_CHECKPOINT` (path)
-    /// and `GG_EVAL_DEADLINE_MS`.
-    pub fn from_env() -> Self {
-        Self {
-            checkpoint: std::env::var("GG_CHECKPOINT").ok().map(PathBuf::from),
-            resume: false,
-            halt_after: None,
-            deadline: SandboxPolicy::from_env().deadline,
-        }
-    }
-}
-
 /// Runs the NSGA-II exploration over the flow parameter space.
 ///
 /// Returns every evaluated point; use [`ExploreResult::pareto_front`] for
@@ -708,10 +695,10 @@ pub fn explore_with(
 
 /// [`explore_with`] against a caller-owned [`EvalEngine`].
 ///
-/// The scheduling hook of the `ggd serve` job daemon
-/// ([`crate::serve`]): a long-lived server keeps one engine per design and
-/// drives many (possibly interleaved, generation-stepped) explorations
-/// through it, so the baseline build is paid once per design and the
+/// The scheduling hook of the `ggd serve` job daemon (crate `gg-serve`):
+/// a long-lived server keeps one engine per design and drives many
+/// (possibly interleaved, generation-stepped) explorations through it,
+/// so the baseline build is paid once per design and the
 /// engine's `(operator, seed)` edit and metrics memos are shared *across
 /// jobs*. Sharing is safe for bit-identity: a memo hit returns the
 /// provably identical result of recomputing (pinned by the
@@ -732,7 +719,7 @@ pub fn explore_with_engine(
 
     let mut rng;
     let mut cache: HashMap<Genome, FlowMetrics> = HashMap::new();
-    let mut order: Vec<(Genome, usize)> = Vec::new();
+    let mut archive = Archive::default();
     let mut ledger: Vec<QuarantineEntry> = Vec::new();
     let mut pop: Vec<Genome>;
     let start_gen;
@@ -767,14 +754,14 @@ pub fn explore_with_engine(
         Some(cp) => {
             rng = StdRng::from_state(cp.rng_state()?);
             cache.extend(cp.cache.iter().copied());
-            order = cp.order.clone();
+            archive = Archive::resume(cp.order.clone());
             ledger = cp.quarantine.clone();
             pop = cp.pop.clone();
             start_gen = cp.generation + 1;
             obs::diagln!(
                 "nsga2: resumed from checkpoint at generation {} ({} evaluated, {} quarantined)",
                 cp.generation,
-                order.len(),
+                archive.order.len(),
                 ledger.len()
             );
         }
@@ -811,15 +798,11 @@ pub fn explore_with_engine(
                 );
             });
             ga_metrics().generations.incr();
-            for g in &pop {
-                if !order.iter().any(|(og, _)| og == g) {
-                    order.push((*g, 0));
-                }
-            }
+            archive.record(&pop, 0);
             start_gen = 1;
             if let Some(path) = &opts.checkpoint {
                 let t = Instant::now();
-                save_checkpoint(path, base, params, 0, &rng, &pop, &order, &cache, &ledger)?;
+                save_checkpoint(path, base, params, 0, &rng, &pop, &archive, &cache, &ledger)?;
                 ckpt_cost = t.elapsed().as_secs_f64();
                 ckpt_spent += ckpt_cost;
                 ckpt_entries = cache.len().max(1);
@@ -828,7 +811,7 @@ pub fn explore_with_engine(
     }
 
     if opts.halt_after.is_some_and(|h| h < start_gen) {
-        return Ok(build_result(base, order, &cache, ledger));
+        return Ok(build_result(base, archive.order, &cache, ledger));
     }
 
     for generation in start_gen..=params.generations {
@@ -862,11 +845,7 @@ pub fn explore_with_engine(
                 &policy,
                 &mut ledger,
             );
-            for g in &offspring {
-                if !order.iter().any(|(og, _)| og == g) {
-                    order.push((*g, generation));
-                }
-            }
+            archive.record(&offspring, generation);
 
             // Environmental selection over the union.
             let mut union: Vec<Genome> = pop.iter().chain(offspring.iter()).copied().collect();
@@ -907,11 +886,7 @@ pub fn explore_with_engine(
                 &policy,
                 &mut ledger,
             );
-            for g in &next {
-                if !order.iter().any(|(og, _)| og == g) {
-                    order.push((*g, generation));
-                }
-            }
+            archive.record(&next, generation);
             pop = next;
         });
         ga_metrics().generations.incr();
@@ -923,7 +898,7 @@ pub fn explore_with_engine(
             if force || within_budget {
                 let t = Instant::now();
                 save_checkpoint(
-                    path, base, params, generation, &rng, &pop, &order, &cache, &ledger,
+                    path, base, params, generation, &rng, &pop, &archive, &cache, &ledger,
                 )?;
                 ckpt_cost = t.elapsed().as_secs_f64();
                 ckpt_spent += ckpt_cost;
@@ -935,7 +910,33 @@ pub fn explore_with_engine(
         }
     }
 
-    Ok(build_result(base, order, &cache, ledger))
+    Ok(build_result(base, archive.order, &cache, ledger))
+}
+
+/// The evaluation archive: every evaluated genome once, in first-seen
+/// order, tagged with the generation that first produced it. The seen-set
+/// keeps recording linear in the genomes recorded; it is rebuilt from
+/// the checkpointed order on resume.
+#[derive(Default)]
+struct Archive {
+    order: Vec<(Genome, usize)>,
+    seen: HashSet<Genome>,
+}
+
+impl Archive {
+    fn resume(order: Vec<(Genome, usize)>) -> Self {
+        let seen = order.iter().map(|(g, _)| *g).collect();
+        Self { order, seen }
+    }
+
+    /// Appends each genome not yet in the archive, in slice order.
+    fn record(&mut self, genomes: &[Genome], generation: usize) {
+        for g in genomes {
+            if self.seen.insert(*g) {
+                self.order.push((*g, generation));
+            }
+        }
+    }
 }
 
 /// Assembles the result from the evaluation archive.
@@ -972,7 +973,7 @@ fn save_checkpoint(
     generation: usize,
     rng: &StdRng,
     pop: &[Genome],
-    order: &[(Genome, usize)],
+    archive: &Archive,
     cache: &HashMap<Genome, FlowMetrics>,
     ledger: &[QuarantineEntry],
 ) -> Result<(), Error> {
@@ -986,7 +987,7 @@ fn save_checkpoint(
         generation,
         rng: rng.state().iter().map(|&w| hex64(w)).collect(),
         pop: pop.to_vec(),
-        order: order.to_vec(),
+        order: archive.order.clone(),
         cache: cache_vec,
         quarantine: ledger.to_vec(),
     }

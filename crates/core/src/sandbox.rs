@@ -111,8 +111,9 @@ impl SandboxPolicy {
     }
 }
 
-/// Classifies a caught unwind payload.
-fn classify(payload: Box<dyn std::any::Any + Send>) -> EvalFailure {
+/// Classifies a caught unwind payload: an injected fault, an expired
+/// deadline, or an ordinary panic with its `&str`/`String` message.
+pub fn classify(payload: Box<dyn std::any::Any + Send>) -> EvalFailure {
     if let Some(fault) = faults::payload_of(&*payload) {
         return match fault {
             faults::FaultPayload::Injected { point } => EvalFailure::Injected {

@@ -114,10 +114,16 @@ pub fn spec_by_name(name: &str) -> Option<DesignSpec> {
     all_specs().into_iter().find(|s| s.name == name)
 }
 
-/// The stock design names in suite order, for fail-fast CLI validation
-/// messages.
-pub fn known_names() -> Vec<&'static str> {
-    all_specs().iter().map(|s| s.name).collect()
+/// One-line roster of every name [`parse_spec`] accepts, for fail-fast
+/// CLI diagnostics: `TINY`, then the stock designs in suite order, then
+/// the scale-suffix hint.
+pub fn known_designs() -> String {
+    let mut names = vec!["TINY"];
+    names.extend(all_specs().iter().map(|s| s.name));
+    format!(
+        "{} (append @x<N> to scale, e.g. AES_2@x7)",
+        names.join(", ")
+    )
 }
 
 /// Scales a spec to `factor`× its stock size: the cell target and the
@@ -150,9 +156,11 @@ pub fn scale_spec(spec: &DesignSpec, factor: u32) -> DesignSpec {
     }
 }
 
-/// Resolves `"NAME"` or `"NAME@xN"` (the scaled-suite naming
-/// convention) to a spec: the bare name is a stock [`all_specs`] entry,
-/// the suffixed form is that entry through [`scale_spec`].
+/// Resolves a design name to its spec: `"NAME"` or `"NAME@xN"` (the
+/// scaled-suite naming convention), plus `TINY`. The bare name is a
+/// stock [`all_specs`] entry, the suffixed form is that entry through
+/// [`scale_spec`]. `TINY` is the [`tiny_spec`] smoke design; it is not
+/// part of the published benchmark table and does not scale.
 ///
 /// ```
 /// assert!(netlist::bench::parse_spec("Camellia").is_some());
@@ -162,6 +170,9 @@ pub fn scale_spec(spec: &DesignSpec, factor: u32) -> DesignSpec {
 /// assert!(netlist::bench::parse_spec("DES@x2").is_none());
 /// ```
 pub fn parse_spec(name: &str) -> Option<DesignSpec> {
+    if name == "TINY" {
+        return Some(tiny_spec());
+    }
     if let Some((base, suffix)) = name.split_once("@x") {
         let factor: u32 = suffix.parse().ok().filter(|&f| (1..=1024).contains(&f))?;
         return spec_by_name(base).map(|s| scale_spec(&s, factor));
@@ -499,14 +510,28 @@ mod tests {
     }
 
     #[test]
-    fn scale_by_one_is_identity_and_known_names_match_suite() {
+    fn scale_by_one_is_identity_and_roster_lists_the_suite() {
         let base = spec_by_name("AES_1").unwrap();
         let same = scale_spec(&base, 1);
         assert_eq!(same.name, "AES_1");
         assert_eq!(same.seed, base.seed);
-        let names = known_names();
-        assert_eq!(names.len(), 12);
-        assert!(names.contains(&"openMSP430_2"));
+        let roster = known_designs();
+        assert!(roster.starts_with("TINY, AES_1"));
+        assert!(roster.contains("openMSP430_2"));
+        assert!(roster.contains("TDEA"));
+        assert!(roster.contains("@x<N>"));
+        let names = roster.split(" (").next().unwrap().split(", ").count();
+        assert_eq!(names, 13, "TINY plus twelve specs");
+    }
+
+    #[test]
+    fn parse_spec_knows_tiny_and_benchmarks() {
+        assert_eq!(parse_spec("TINY").map(|s| s.name), Some("TINY"));
+        assert!(parse_spec("AES_1").is_some());
+        assert!(parse_spec("NOPE").is_none());
+        assert_eq!(parse_spec("AES_2@x7").unwrap().target_cells, 7 * 16_000);
+        assert!(parse_spec("NOPE@x2").is_none());
+        assert!(parse_spec("TINY@x2").is_none(), "TINY does not scale");
     }
 
     #[test]

@@ -551,6 +551,22 @@ pub fn reset() {
     reg.spans.clear();
 }
 
+/// The process high-water resident set in bytes, from
+/// `/proc/self/status` (`VmHWM`); 0 where procfs is unavailable. The
+/// kernel counter is monotone for the process lifetime, so successive
+/// readings are cumulative peaks.
+pub fn peak_rss_bytes() -> u64 {
+    let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
+        return 0;
+    };
+    status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))
+        .and_then(|rest| rest.split_whitespace().next())
+        .and_then(|kb| kb.parse::<u64>().ok())
+        .map_or(0, |kb| kb * 1024)
+}
+
 /// Formats nanoseconds as a compact human duration.
 fn fmt_nanos(n: u64) -> String {
     let s = n as f64 / 1e9;

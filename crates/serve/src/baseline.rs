@@ -12,12 +12,12 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
+use gdsii_guard::pipeline::{implement_baseline, EvalEngine, MemoryFootprint, Snapshot};
+use gdsii_guard::Error;
 use netlist::bench::DesignSpec;
 use tech::Technology;
 
-use crate::error::Error;
-use crate::pipeline::{implement_baseline, EvalEngine, MemoryFootprint, Snapshot};
-use crate::serve::job::BaselineSummary;
+use crate::job::BaselineSummary;
 
 /// An implemented design shared by every job targeting it: the spec it
 /// was built from, a ready evaluation engine (which owns the baseline
@@ -122,7 +122,7 @@ impl BaselineCache {
     }
 
     fn build(&self, design: &str) -> Result<Arc<DesignContext>, Error> {
-        let spec = resolve_spec(design)
+        let spec = netlist::bench::parse_spec(design)
             .ok_or_else(|| Error::Serve(format!("unknown design '{design}'")))?;
         let base = implement_baseline(&spec, &self.tech)?;
         let summary = BaselineSummary::from_snapshot(&base);
@@ -135,52 +135,9 @@ impl BaselineCache {
     }
 }
 
-/// Resolves a design name to its benchmark spec.
-///
-/// Accepts the twelve `netlist::bench` specs (optionally with a
-/// `@x{factor}` scale suffix, e.g. `AES_2@x7`) plus `TINY`, the
-/// miniature smoke-test design the CI drills run (it is not part of the
-/// published benchmark table, so `parse_spec` does not know it).
-pub fn resolve_spec(design: &str) -> Option<DesignSpec> {
-    if design == "TINY" {
-        return Some(netlist::bench::tiny_spec());
-    }
-    netlist::bench::parse_spec(design)
-}
-
-/// One-line roster of every name [`resolve_spec`] accepts, for fail-fast
-/// CLI diagnostics.
-pub fn known_designs() -> String {
-    let mut names = vec!["TINY"];
-    names.extend(netlist::bench::known_names());
-    format!(
-        "{} (append @x<N> to scale, e.g. AES_2@x7)",
-        names.join(", ")
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn resolver_knows_tiny_and_benchmarks() {
-        assert_eq!(resolve_spec("TINY").map(|s| s.name), Some("TINY"));
-        assert!(resolve_spec("AES_1").is_some());
-        assert!(resolve_spec("NOPE").is_none());
-    }
-
-    #[test]
-    fn resolver_accepts_scale_suffix_and_roster_lists_everything() {
-        let big = resolve_spec("AES_2@x7").expect("scaled spec resolves");
-        assert_eq!(big.target_cells, 7 * 16_000);
-        assert!(resolve_spec("NOPE@x2").is_none());
-        assert!(resolve_spec("TINY@x2").is_none(), "TINY does not scale");
-        let roster = known_designs();
-        assert!(roster.starts_with("TINY, AES_1"));
-        assert!(roster.contains("TDEA"));
-        assert!(roster.contains("@x<N>"));
-    }
 
     #[test]
     fn cache_builds_once_and_counts_hits() {

@@ -35,10 +35,10 @@ use std::time::Duration;
 use gdsii_guard::obs::diagln;
 use gdsii_guard::prelude::*;
 use gdsii_guard::sandbox::SandboxPolicy;
-use gdsii_guard::serve::{
+use gdsii_guard::Error;
+use gg_serve::{
     BaselineSummary, Client, JobEvent, JobKind, JobSpec, JobState, Server, ServerConfig,
 };
-use gdsii_guard::Error;
 use ggjson::{FromJson, Json, ToJson};
 use tech::Technology;
 
@@ -171,14 +171,13 @@ impl Opts {
 /// Fails fast on a design name the benchmark roster does not know,
 /// listing every accepted name — shared by the local commands and
 /// `submit`, so a typo dies at the CLI instead of inside the daemon.
-fn validate_design(name: &str) -> Result<(), Error> {
-    if gdsii_guard::serve::baseline::resolve_spec(name).is_none() {
-        return Err(Error::InvalidArgs(format!(
+fn resolve_design(name: &str) -> Result<netlist::bench::DesignSpec, Error> {
+    netlist::bench::parse_spec(name).ok_or_else(|| {
+        Error::InvalidArgs(format!(
             "unknown design '{name}'; known designs: {}",
-            gdsii_guard::serve::baseline::known_designs()
-        )));
-    }
-    Ok(())
+            netlist::bench::known_designs()
+        ))
+    })
 }
 
 /// Translates the job flags into a [`JobSpec`] of `kind`: the one
@@ -186,7 +185,7 @@ fn validate_design(name: &str) -> Result<(), Error> {
 /// and `submit`, so every default lives in `JobSpec`.
 fn job_spec(o: &Opts, kind: JobKind) -> Result<JobSpec, Error> {
     let design = o.design()?;
-    validate_design(&design)?;
+    resolve_design(&design)?;
     let mut spec = match kind {
         JobKind::Explore => JobSpec::explore(&design),
         JobKind::Analyze => JobSpec::analyze(&design),
@@ -215,9 +214,7 @@ fn job_spec(o: &Opts, kind: JobKind) -> Result<JobSpec, Error> {
 }
 
 fn baseline(name: &str, tech: &Technology) -> Result<Snapshot, Error> {
-    validate_design(name)?;
-    let spec = gdsii_guard::serve::baseline::resolve_spec(name).expect("validated above");
-    implement_baseline(&spec, tech)
+    implement_baseline(&resolve_design(name)?, tech)
 }
 
 fn print_snapshot(label: &str, s: &Snapshot) {
@@ -455,7 +452,7 @@ fn cmd_submit(o: &Opts) -> Result<(), Error> {
     Ok(())
 }
 
-fn print_status(s: &gdsii_guard::serve::JobStatus) {
+fn print_status(s: &gg_serve::JobStatus) {
     println!(
         "job {} {} {} {}  priority {}  steps {}/{}  events {}{}",
         s.id,

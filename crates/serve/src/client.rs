@@ -8,7 +8,7 @@
 //! The client is **resilient**: transport failures (connect refused,
 //! torn response line, server restart mid-request) are retried up to
 //! [`RetryPolicy::attempts`] times with jittered exponential backoff,
-//! reconnecting between attempts; a [`crate::serve::proto::Response::Busy`]
+//! reconnecting between attempts; a [`crate::proto::Response::Busy`]
 //! admission refusal is likewise retried without reconnecting. Retrying
 //! a submit is safe because every submit carries a `dedup` idempotency
 //! token (auto-generated when the spec has none): a resubmit the server
@@ -21,12 +21,12 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
+use gdsii_guard::Error;
 use ggjson::{FromJson, Json};
 
-use crate::error::Error;
-use crate::serve::job::{JobEvent, JobSpec, JobStatus};
-use crate::serve::proto::{Request, Response};
-use crate::serve::server::ServerStats;
+use crate::job::{JobEvent, JobSpec, JobStatus};
+use crate::proto::{Request, Response};
+use crate::server::ServerStats;
 
 /// Bounded-retry backoff policy for transport failures and `Busy`
 /// admission refusals.

@@ -3,14 +3,14 @@
 
 use ggjson::{FromJson, Json, ToJson};
 
-use crate::flow::FlowConfig;
-use crate::nsga2::Nsga2Params;
-use crate::pipeline::Snapshot;
+use gdsii_guard::flow::FlowConfig;
+use gdsii_guard::nsga2::Nsga2Params;
+use gdsii_guard::pipeline::Snapshot;
 
-/// Job-spec format version, accepted by [`crate::serve::Server`] submits.
+/// Job-spec format version, accepted by [`crate::Server`] submits.
 ///
 /// Versioned alongside the checkpoint envelope
-/// ([`crate::checkpoint::FORMAT_VERSION`]): a job's pause/resume state is
+/// ([`gdsii_guard::checkpoint::FORMAT_VERSION`]): a job's pause/resume state is
 /// persisted as checkpoint envelopes, so a spec-version bump that changes
 /// how jobs are stepped must be accompanied by (or at least audited
 /// against) the checkpoint format. A submit carrying a different version

@@ -58,11 +58,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
+use gdsii_guard::checkpoint::{fnv1a, hex64};
+use gdsii_guard::Error;
 use ggjson::{FromJson, Json, ToJson};
 
-use crate::checkpoint::{fnv1a, hex64};
-use crate::error::Error;
-use crate::serve::job::JobSpec;
+use crate::job::JobSpec;
 
 /// Journal line-envelope format version; replay skips lines carrying a
 /// different version (forward-compatible: an old daemon never
@@ -465,7 +465,7 @@ fn record_write_secs(secs: f64) {
     metrics().write_secs.set(total);
 }
 
-/// Serializes the core-lib tests that arm process-global faults or
+/// Serializes the crate's tests that arm process-global faults or
 /// append to a [`Journal`]: a `journal.write` fault armed by one test
 /// would otherwise drop the appends of every test running beside it.
 #[cfg(test)]

@@ -1,7 +1,10 @@
-//! Exploration-as-a-service: the `ggd serve` job daemon.
+//! Exploration-as-a-service: the `ggd` command-line front end and the
+//! `ggd serve` job daemon, built on the `gdsii_guard` algorithm library.
+//! The dependency runs one way: this crate uses the library's public
+//! API, and the library knows nothing of sockets or journals.
 //!
 //! The one-shot CLI builds a design's baseline, runs one command, and
-//! throws the baseline away. This module turns the same pipeline into a
+//! throws the baseline away. This crate turns the same pipeline into a
 //! long-lived **job server**: clients submit explore/harden/analyze jobs
 //! over a Unix-domain socket (or in process), a scheduler feeds them to
 //! runner threads by priority, and every job over the same design shares
@@ -21,9 +24,9 @@
 //!   (spec + evaluation engine + headline summary).
 //! - [`server`] — runner threads and the socket front end. Explore jobs
 //!   are **generation-stepped**: each scheduler step runs exactly one
-//!   NSGA-II generation via [`crate::nsga2::explore_with_engine`] with
+//!   NSGA-II generation via [`gdsii_guard::nsga2::explore_with_engine`] with
 //!   `halt_after`, persisting the standard checkpoint envelope, so
-//!   pause/resume/cancel reuse [`crate::checkpoint`] verbatim and a
+//!   pause/resume/cancel reuse [`gdsii_guard::checkpoint`] verbatim and a
 //!   paused-and-resumed job is bit-identical to an uninterrupted one.
 //! - [`journal`] — the durable job journal: a checksummed write-ahead
 //!   log of lifecycle transitions. On restart the server replays it,
@@ -36,7 +39,7 @@
 //!   submits via dedup tokens.
 //!
 //! ```no_run
-//! use gdsii_guard::serve::{Client, JobSpec, Server, ServerConfig};
+//! use gg_serve::{Client, JobSpec, Server, ServerConfig};
 //!
 //! let server = Server::start(ServerConfig {
 //!     socket: Some("/tmp/ggd.sock".into()),
@@ -49,6 +52,11 @@
 //! server.stop();
 //! # Ok::<(), gdsii_guard::Error>(())
 //! ```
+
+// The daemon must never be brought down by a request: failures surface as
+// typed errors or job-failure events, so bare `unwrap()` is denied
+// outside tests.
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod baseline;
 pub mod client;

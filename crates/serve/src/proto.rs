@@ -24,17 +24,17 @@
 //! Any failure is a single `{"err":"diagnostic"}` line; the connection
 //! stays usable for further requests either way. A submit refused by
 //! admission control (queue depth or memory budget, see
-//! [`crate::serve::ServerConfig`]) gets `{"busy":"why"}` instead — a
+//! [`crate::ServerConfig`]) gets `{"busy":"why"}` instead — a
 //! *retryable* refusal the client retries with jittered backoff, unlike
 //! the terminal `{"err":…}`.
 
+use gdsii_guard::Error;
 use ggjson::{FromJson, Json, ToJson};
 
-use crate::error::Error;
-use crate::serve::job::{JobEvent, JobSpec};
+use crate::job::{JobEvent, JobSpec};
 
-/// Wire protocol version spoken by [`crate::serve::Server`] and
-/// [`crate::serve::Client`].
+/// Wire protocol version spoken by [`crate::Server`] and
+/// [`crate::Client`].
 pub const PROTO_VERSION: u32 = 1;
 
 /// One request line.

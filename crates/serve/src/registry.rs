@@ -24,8 +24,8 @@ use std::time::Duration;
 
 use ggjson::Json;
 
-use crate::serve::job::{JobEvent, JobKind, JobSpec, JobState, JobStatus};
-use crate::serve::journal::{Journal, JournalRecord};
+use crate::job::{JobEvent, JobKind, JobSpec, JobState, JobStatus};
+use crate::journal::{Journal, JournalRecord};
 
 /// Everything the registry tracks about one job.
 pub(crate) struct Job {
@@ -760,7 +760,7 @@ fn status_of(id: u64, job: &Job) -> JobStatus {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::serve::job::JobSpec;
+    use crate::job::JobSpec;
 
     fn ckpt(n: u64) -> PathBuf {
         PathBuf::from(format!("/tmp/unused-{n}.ckpt"))
@@ -965,7 +965,7 @@ mod tests {
     /// every job's position and the claim order survived.
     #[test]
     fn recovery_restores_jobs_order_and_results() {
-        let _guard = crate::serve::journal::fault_test_lock();
+        let _guard = crate::journal::fault_test_lock();
         let dir = journal_dir("recover");
         let (running, paused, queued_hi, queued_lo, finished);
         {
@@ -1047,7 +1047,7 @@ mod tests {
 
     #[test]
     fn dedup_tokens_are_idempotent_and_survive_recovery() {
-        let _guard = crate::serve::journal::fault_test_lock();
+        let _guard = crate::journal::fault_test_lock();
         let dir = journal_dir("dedup");
         let first;
         {
@@ -1080,7 +1080,7 @@ mod tests {
 
     #[test]
     fn compaction_snapshot_replays_identically() {
-        let _guard = crate::serve::journal::fault_test_lock();
+        let _guard = crate::journal::fault_test_lock();
         let dir = journal_dir("compact");
         let journal = Arc::new(Journal::open_with(&dir, 64, false).expect("open"));
         let reg = Registry::with_journal(Some(journal));

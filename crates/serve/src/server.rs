@@ -3,7 +3,7 @@
 //!
 //! A [`Server`] owns one job registry and one [`BaselineCache`]. Runner
 //! threads pull *scheduler steps* from the registry — one NSGA-II
-//! generation of an explore job (via [`crate::nsga2::explore_with_engine`]
+//! generation of an explore job (via [`gdsii_guard::nsga2::explore_with_engine`]
 //! with `halt_after`), or the whole of an analyze/harden job — so
 //! priorities take effect at generation boundaries and a pause/cancel
 //! request lands exactly where a checkpoint was just written. Explore
@@ -33,17 +33,18 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use gdsii_guard::flow::{harden, FlowMetrics};
+use gdsii_guard::nsga2::{explore_with_engine, ExploreOptions, ExploreResult};
+use gdsii_guard::sandbox::{classify, EvalFailure, SandboxPolicy};
+use gdsii_guard::Error;
 use ggjson::Json;
 use tech::Technology;
 
-use crate::error::Error;
-use crate::flow::{harden, FlowMetrics};
-use crate::nsga2::{explore_with_engine, ExploreOptions, ExploreResult};
-use crate::serve::baseline::{BaselineCache, DesignContext};
-use crate::serve::job::{BaselineSummary, JobEvent, JobKind, JobSpec, JobStatus};
-use crate::serve::journal::Journal;
-use crate::serve::proto::{Request, Response};
-use crate::serve::registry::{Claim, Registry, StepOutcome};
+use crate::baseline::{BaselineCache, DesignContext};
+use crate::job::{BaselineSummary, JobEvent, JobKind, JobSpec, JobStatus};
+use crate::journal::Journal;
+use crate::proto::{Request, Response};
+use crate::registry::{Claim, Registry, StepOutcome};
 
 /// How a [`Server`] is stood up.
 #[derive(Debug, Clone)]
@@ -132,20 +133,6 @@ ggjson::json_struct!(ServerStats {
     recovered_jobs
 });
 
-/// The process high-water resident set in bytes, from
-/// `/proc/self/status`; 0 on platforms without procfs.
-fn peak_rss_bytes() -> u64 {
-    let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
-        return 0;
-    };
-    status
-        .lines()
-        .find_map(|l| l.strip_prefix("VmHWM:"))
-        .and_then(|rest| rest.split_whitespace().next())
-        .and_then(|kb| kb.parse::<u64>().ok())
-        .map_or(0, |kb| kb * 1024)
-}
-
 /// Assembles the stats payload from the shared server state.
 fn collect_stats(shared: &Shared) -> ServerStats {
     let (baseline_builds, baseline_hits) = shared.baselines.stats();
@@ -157,7 +144,7 @@ fn collect_stats(shared: &Shared) -> ServerStats {
         occupancy_bytes: mem.occupancy_bytes,
         route_planes_bytes: mem.route_planes_bytes,
         eval_cache_bytes: mem.cache_bytes,
-        peak_rss_bytes: peak_rss_bytes(),
+        peak_rss_bytes: obs::peak_rss_bytes(),
         queued: shared.registry.queued_count() as u64,
         busy_rejects: shared.busy_rejects.load(Ordering::Relaxed),
         runner_restarts: shared.runner_restarts.load(Ordering::Relaxed),
@@ -194,6 +181,23 @@ struct RunnerSlot {
     flight: Arc<Flight>,
 }
 
+/// The one submit path, behind both [`Server::submit`] and the socket's
+/// `submit` request: validate (a bad spec is [`Error::Serve`]), admit
+/// (over the limits is the retryable [`Error::Busy`]), pick the job's
+/// checkpoint path, and queue it.
+fn submit(shared: &Shared, spec: JobSpec) -> Result<u64, Error> {
+    spec.validate().map_err(Error::Serve)?;
+    admit(shared, &spec).map_err(Error::Busy)?;
+    let checkpoint = match &spec.checkpoint {
+        Some(path) => PathBuf::from(path),
+        None => {
+            let n = shared.ckpt_counter.fetch_add(1, Ordering::Relaxed);
+            shared.data_dir.join(format!("job{n}.ckpt"))
+        }
+    };
+    Ok(shared.registry.submit(spec, checkpoint))
+}
+
 /// Admission gate, checked before a submit enters the queue. Idempotent
 /// resubmits (a dedup token the registry already knows) bypass the gate
 /// — they map to an existing job, adding no load. Refusals are counted
@@ -219,7 +223,7 @@ fn admit(shared: &Shared, spec: &JobSpec) -> Result<(), String> {
         }
     }
     if shared.mem_budget_bytes > 0 {
-        let rss = peak_rss_bytes();
+        let rss = obs::peak_rss_bytes();
         let cache = shared.baselines.memory_footprint().cache_bytes;
         if rss > shared.mem_budget_bytes || cache > shared.mem_budget_bytes {
             return refuse(format!(
@@ -341,16 +345,7 @@ impl Server {
     /// retryable [`Error::Busy`] when admission limits are exceeded
     /// (idempotent resubmits bypass the gate).
     pub fn submit(&self, spec: JobSpec) -> Result<u64, Error> {
-        spec.validate().map_err(Error::Serve)?;
-        admit(&self.shared, &spec).map_err(Error::Busy)?;
-        let checkpoint = match &spec.checkpoint {
-            Some(path) => PathBuf::from(path),
-            None => {
-                let n = self.shared.ckpt_counter.fetch_add(1, Ordering::Relaxed);
-                self.shared.data_dir.join(format!("job{n}.ckpt"))
-            }
-        };
-        Ok(self.shared.registry.submit(spec, checkpoint))
+        submit(&self.shared, spec)
     }
 
     /// Point-in-time status of one job.
@@ -537,6 +532,10 @@ fn supervisor_loop(
             next_idx += 1;
             let old = std::mem::replace(slot, fresh);
             old.flight.retired.store(true, Ordering::Relaxed);
+            // Count the restart before failing the job: a client that sees
+            // the failure must also see the restart in `stats`.
+            shared.runner_restarts.fetch_add(1, Ordering::Relaxed);
+            restart_metric().incr();
             let in_flight = old
                 .flight
                 .busy
@@ -574,8 +573,6 @@ fn supervisor_loop(
                 drop(old.handle);
                 obs::diagln!("supervisor: runner wedged; abandoned and replaced");
             }
-            shared.runner_restarts.fetch_add(1, Ordering::Relaxed);
-            restart_metric().incr();
         }
     }
 }
@@ -592,26 +589,18 @@ fn execute_step(shared: &Shared, id: u64) -> StepOutcome {
         run_step(shared, id, &spec, step, &ckpt)
     })) {
         Ok(outcome) => outcome,
-        Err(panic) => StepOutcome::Failed {
-            error: format!("step panicked: {}", panic_message(&panic)),
-        },
-    }
-}
-
-fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
-    if let Some(fp) = faults::payload_of(panic) {
-        return match fp {
-            faults::FaultPayload::Injected { point } => format!("injected fault at {point}"),
-            faults::FaultPayload::DeadlineExceeded { budget_ms } => {
-                format!("deadline exceeded ({budget_ms} ms budget)")
+        Err(panic) => {
+            // A plain panic renders as its bare message; injected faults
+            // and deadlines as the sandbox renders them.
+            let why = match classify(panic) {
+                EvalFailure::Panicked { message } => message,
+                other => other.to_string(),
+            };
+            StepOutcome::Failed {
+                error: format!("step panicked: {why}"),
             }
-        };
+        }
     }
-    panic
-        .downcast_ref::<&str>()
-        .map(|s| (*s).to_owned())
-        .or_else(|| panic.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "opaque panic payload".to_owned())
 }
 
 fn run_step(shared: &Shared, id: u64, spec: &JobSpec, step: u64, ckpt: &Path) -> StepOutcome {
@@ -693,7 +682,7 @@ fn run_explore_step(
         // Cooperative per-candidate budget: a wedged evaluation trips
         // its own deadline long before the supervisor's watchdog has to
         // declare the whole runner stuck.
-        deadline: crate::sandbox::SandboxPolicy::from_env().deadline,
+        deadline: SandboxPolicy::from_env().deadline,
     };
     let result = match explore_with_engine(&ctx.engine, shared.baselines.tech(), &params, &opts) {
         Ok(r) => r,
@@ -800,6 +789,24 @@ fn write_line(writer: &mut UnixStream, resp: &Response) -> std::io::Result<()> {
     writer.flush()
 }
 
+/// Job `id`'s status as a wire payload.
+fn status_json(shared: &Shared, id: u64) -> Result<Json, String> {
+    shared
+        .registry
+        .status(id)
+        .map(|s| ggjson::ToJson::to_json(&s))
+}
+
+/// Applies a control action (pause, resume, cancel) to job `id`, then
+/// reports the job's status: the one reply shape of all three requests.
+fn control(
+    shared: &Shared,
+    id: u64,
+    act: fn(&Registry, u64) -> Result<(), String>,
+) -> Result<Json, String> {
+    act(&shared.registry, id).and_then(|()| status_json(shared, id))
+}
+
 fn handle_line(shared: &Shared, line: &str, writer: &mut UnixStream) -> std::io::Result<()> {
     let req = match Request::from_line(line) {
         Ok(req) => req,
@@ -828,61 +835,18 @@ fn handle_line(shared: &Shared, line: &str, writer: &mut UnixStream) -> std::io:
             out
         }
         Request::Submit(spec) => {
-            let resp = match spec.validate() {
-                Err(why) => Response::Err(why),
-                Ok(()) => match admit(shared, &spec) {
-                    Err(why) => Response::Busy(why),
-                    Ok(()) => {
-                        let checkpoint = match &spec.checkpoint {
-                            Some(path) => PathBuf::from(path),
-                            None => {
-                                let n = shared.ckpt_counter.fetch_add(1, Ordering::Relaxed);
-                                shared.data_dir.join(format!("job{n}.ckpt"))
-                            }
-                        };
-                        let id = shared.registry.submit(spec, checkpoint);
-                        Response::Ok(Json::Obj(vec![("job".to_owned(), Json::Num(id as f64))]))
-                    }
-                },
+            let resp = match submit(shared, spec) {
+                Ok(id) => Response::Ok(Json::Obj(vec![("job".to_owned(), Json::Num(id as f64))])),
+                Err(Error::Busy(why)) => Response::Busy(why),
+                Err(Error::Serve(why)) => Response::Err(why),
+                Err(other) => Response::Err(other.to_string()),
             };
             write_line(writer, &resp)
         }
-        Request::Status(id) => write_line(
-            writer,
-            &reply(
-                shared
-                    .registry
-                    .status(id)
-                    .map(|s| ggjson::ToJson::to_json(&s)),
-            ),
-        ),
-        Request::Pause(id) => write_line(
-            writer,
-            &reply(shared.registry.pause(id).and_then(|()| {
-                shared
-                    .registry
-                    .status(id)
-                    .map(|s| ggjson::ToJson::to_json(&s))
-            })),
-        ),
-        Request::Resume(id) => write_line(
-            writer,
-            &reply(shared.registry.resume(id).and_then(|()| {
-                shared
-                    .registry
-                    .status(id)
-                    .map(|s| ggjson::ToJson::to_json(&s))
-            })),
-        ),
-        Request::Cancel(id) => write_line(
-            writer,
-            &reply(shared.registry.cancel(id).and_then(|()| {
-                shared
-                    .registry
-                    .status(id)
-                    .map(|s| ggjson::ToJson::to_json(&s))
-            })),
-        ),
+        Request::Status(id) => write_line(writer, &reply(status_json(shared, id))),
+        Request::Pause(id) => write_line(writer, &reply(control(shared, id, Registry::pause))),
+        Request::Resume(id) => write_line(writer, &reply(control(shared, id, Registry::resume))),
+        Request::Cancel(id) => write_line(writer, &reply(control(shared, id, Registry::cancel))),
         Request::Result(id) => write_line(writer, &reply(shared.registry.result(id))),
         Request::Watch { job, from } => {
             let mut cursor = from;
@@ -901,13 +865,7 @@ fn handle_line(shared: &Shared, line: &str, writer: &mut UnixStream) -> std::io:
                     write_line(writer, &Response::Event(e))?;
                 }
                 if terminal {
-                    let resp = reply(
-                        shared
-                            .registry
-                            .status(job)
-                            .map(|s| ggjson::ToJson::to_json(&s)),
-                    );
-                    return write_line(writer, &resp);
+                    return write_line(writer, &reply(status_json(shared, job)));
                 }
                 if shared.registry.is_shutdown() {
                     return write_line(writer, &Response::Err("server shutting down".to_owned()));

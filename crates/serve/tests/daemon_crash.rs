@@ -11,8 +11,8 @@ use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 
 use gdsii_guard::prelude::*;
-use gdsii_guard::serve::{Client, JobSpec, JobState, RetryPolicy};
 use gdsii_guard::Error;
+use gg_serve::{Client, JobSpec, JobState, RetryPolicy};
 use ggjson::ToJson;
 use tech::Technology;
 

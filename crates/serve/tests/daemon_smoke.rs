@@ -10,7 +10,7 @@ use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 
 use gdsii_guard::prelude::*;
-use gdsii_guard::serve::{BaselineSummary, Client, JobSpec, JobState};
+use gg_serve::{BaselineSummary, Client, JobSpec, JobState};
 use ggjson::ToJson;
 use tech::Technology;
 

@@ -7,8 +7,8 @@
 //! [`Server::step_once`] executes exactly one scheduler step per call.
 
 use gdsii_guard::prelude::*;
-use gdsii_guard::serve::{JobSpec, JobState, Server, ServerConfig};
 use gdsii_guard::Error;
+use gg_serve::{JobSpec, JobState, Server, ServerConfig};
 use ggjson::ToJson;
 use tech::Technology;
 
